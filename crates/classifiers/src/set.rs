@@ -33,17 +33,17 @@ use urlid_lexicon::{Language, ALL_LANGUAGES};
 /// serve layer's per-stage histograms).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScoreSplit {
-    /// Microseconds spent extracting features into the sparse vector.
-    pub extract_micros: u64,
-    /// Microseconds spent scoring (fused plane passes, the Markov
+    /// Nanoseconds spent extracting features into the sparse vector.
+    pub extract_nanos: u64,
+    /// Nanoseconds spent scoring (fused plane passes, the Markov
     /// re-walk, and any boxed fallbacks).
-    pub score_micros: u64,
+    pub score_nanos: u64,
 }
 
-/// A `Duration` as saturating whole microseconds.
+/// A `Duration` as saturating whole nanoseconds.
 #[inline]
-fn duration_micros(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+fn duration_nanos(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// How one language's score is produced from a URL.
@@ -458,8 +458,8 @@ impl LanguageClassifierSet {
                 let t1 = std::time::Instant::now();
                 let out = self.score_compiled_from_vector(plane, url, vector.as_ref(), scratch);
                 let split = ScoreSplit {
-                    extract_micros: duration_micros(t1.duration_since(t0)),
-                    score_micros: duration_micros(t1.elapsed()),
+                    extract_nanos: duration_nanos(t1.duration_since(t0)),
+                    score_nanos: duration_nanos(t1.elapsed()),
                 };
                 Self::return_vector(scratch, vector);
                 (out, split)
@@ -469,8 +469,8 @@ impl LanguageClassifierSet {
                 let t1 = std::time::Instant::now();
                 let out = self.score_interpreted_from_vector(url, vector.as_ref());
                 let split = ScoreSplit {
-                    extract_micros: duration_micros(t1.duration_since(t0)),
-                    score_micros: duration_micros(t1.elapsed()),
+                    extract_nanos: duration_nanos(t1.duration_since(t0)),
+                    score_nanos: duration_nanos(t1.elapsed()),
                 };
                 (out, split)
             }

@@ -67,26 +67,23 @@ USAGE:
                   best wall-clock milliseconds to stdout; used by CI to
                   gate binary loads beating JSON cold starts)
   urlid serve    --model <model> [--format auto|json|binary]
-                 [--addr <host:port>] [--threads <n>]
-                 [--reactors <n>] [--pool shared|partitioned]
+                 [--addr <host:port>] [--reactors <n>]
                  [--io auto|uring|epoll]
                  [--max-inflight <n>] [--cache-capacity <n>]
                  [--weights f64|f32] [--telemetry on|off] [--slow-ms <n>]
-                 (--threads sizes the scoring pool; connections are
-                  multiplexed by --reactors event-loop threads, each
+                 (connections are multiplexed by --reactors event-loop
+                  threads that also score the requests they parse, each
                   owning its own SO_REUSEPORT listener and cache shard
-                  set; 0 = min(cores, 4), the default.
-                  --pool picks the scoring topology: shared (one
-                  work-conserving queue, default) or partitioned
-                  (dedicated workers per reactor).
+                  set; 0 = one per core, the default.
                   --io picks the reactor I/O engine: auto (default)
                   probes io_uring and falls back to epoll when the
                   kernel or a sandbox denies it (URLID_NO_URING forces
                   the fallback); uring requires the rings; epoll forces
                   the readiness poller. /metrics reports the choice as
                   reactors.io_backend.
-                  --max-inflight caps scoring-pool requests per reactor;
-                  the excess is answered 503 — 0 = unlimited, default 32.
+                  --max-inflight caps the connections a reactor serves
+                  per event-loop pass; the next ready connection's
+                  request is answered 503 — 0 = unlimited, default 32.
                   --weights f32 serves the quantised f32 weight lane:
                   half the matrix bytes, identical decisions, scores
                   within the documented tolerance.
@@ -419,11 +416,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_owned(),
         ..ServeConfig::default()
     };
-    if let Some(threads) = args.get("threads") {
-        config.scoring_threads = threads
-            .parse()
-            .map_err(|_| format!("bad --threads {threads:?}"))?;
-    }
     if let Some(reactors) = args.get("reactors") {
         config.reactors = reactors
             .parse()
@@ -434,11 +426,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         // be sized one-per-reactor.
         config.reactors = urlid_serve::server::default_reactors();
     }
-    config.pool = match args.get("pool").unwrap_or("shared") {
-        "shared" => urlid_serve::server::PoolTopology::Shared,
-        "partitioned" => urlid_serve::server::PoolTopology::Partitioned,
-        other => return Err(format!("unknown --pool {other:?} (shared|partitioned)")),
-    };
     config.io = urlid_serve::server::IoBackend::parse(args.get("io").unwrap_or("auto"))?;
     if let Some(max_inflight) = args.get("max-inflight") {
         config.max_inflight = max_inflight

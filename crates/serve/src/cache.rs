@@ -11,7 +11,7 @@
 //!
 //! * **Mutex striping** — the capacity is split over N independent
 //!   shards, each its own `Mutex<LruShard>`, selected by key hash;
-//!   worker threads contend only when they hit the same shard.
+//!   reactor threads contend only when they hit the same shard.
 //! * **True LRU per shard** — an intrusive doubly-linked list over a
 //!   slab (`Vec` of nodes + free list), so `get`, `insert` and eviction
 //!   are all O(1); no allocation beyond the stored keys.
@@ -207,8 +207,8 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// Default number of shards: enough stripes that a worker pool the
-    /// size of a large machine rarely contends on one lock.
+    /// Default number of shards: enough stripes that one reactor per
+    /// core on a large machine rarely contends on one lock.
     pub const DEFAULT_SHARDS: usize = 16;
 
     /// A cache holding at most `capacity` entries split over
@@ -257,7 +257,7 @@ impl ResultCache {
     }
 
     /// Lock a shard, recovering from poisoning. A panic elsewhere must
-    /// not cascade into every scoring worker that touches the same
+    /// not cascade into every reactor that touches the same
     /// shard afterwards — the LRU state is plain data and a
     /// half-applied `get`/`insert` at worst loses or duplicates one
     /// entry, which the capacity bound and epoch tags already tolerate.

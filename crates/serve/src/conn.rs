@@ -2,22 +2,22 @@
 //!
 //! A [`Conn`] owns one non-blocking socket, an incremental
 //! [`RequestParser`], and an outbound queue of response segments
-//! flushed with vectored writes. It never blocks and
-//! never touches a thread of its own — the reactor calls in when the
-//! poller reports readiness, and the scoring pool's finished responses
-//! arrive through [`Conn::complete`]. The request lifecycle:
+//! flushed with vectored writes. It never blocks and never touches a
+//! thread of its own — the reactor calls in when the poller reports
+//! readiness, answers each request the parser yields, and hands the
+//! response back through [`Conn::respond`]. The request lifecycle:
 //!
 //! ```text
-//!          readable                    parser yields a request
-//!   Idle ───────────► feed parser ───────────────────────────► InFlight
-//!    ▲                                                            │
-//!    │  output drained (keep-alive; parse any pipelined request)  │
-//!    └─────────────────────────── write response ◄────────────────┘
-//!                                                  Conn::complete
+//!          readable                 parser yields a request
+//!   Idle ───────────► feed parser ─────────────────────────► Step::Dispatch
+//!    ▲                                                             │
+//!    │  output drained (keep-alive; parse any pipelined request)   │ reactor
+//!    └────────────────────────── write response ◄──────────────────┘ runs route
+//!                                                 Conn::respond
 //! ```
 //!
-//! Only one request per connection is in flight at a time: while a
-//! request is dispatched, arriving bytes are buffered but not parsed,
+//! One request per connection is answered at a time: while a response
+//! is still flushing, arriving bytes are buffered but not parsed,
 //! which both preserves response ordering for pipelined clients and
 //! bounds the per-connection memory (a flood past the cap closes the
 //! connection). Malformed or oversized input gets a `400`/`413` written
@@ -111,24 +111,15 @@ impl OutQueue {
 pub(crate) enum Step {
     /// Nothing to hand off; keep the connection registered.
     Continue,
-    /// A complete request was parsed — dispatch it to the scoring pool,
-    /// tagged with its freshly assigned request id (correlates the
-    /// stage spans of this request). The connection is now in flight
-    /// and will not parse further input until [`Conn::complete`]
-    /// delivers the response.
+    /// A complete request was parsed, tagged with its freshly assigned
+    /// request id (correlates the stage spans of this request). The
+    /// reactor answers it through [`Conn::respond`] (or sheds it
+    /// through [`Conn::reject_overload`]) before driving this
+    /// connection again.
     Dispatch(Request, u64),
     /// The connection is finished (peer closed, fatal error, or final
     /// response flushed) — deregister and drop it.
     Close,
-}
-
-/// Where the connection is in the request lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Waiting for (or incrementally parsing) the next request.
-    Idle,
-    /// A request has been dispatched to the scoring pool.
-    InFlight,
 }
 
 /// One client connection: socket, parser, pending output.
@@ -153,7 +144,6 @@ pub(crate) struct Conn {
     /// Response segments not yet accepted by the kernel, flushed with
     /// vectored writes (one `writev` covers a whole pipelining burst).
     out: OutQueue,
-    phase: Phase,
     /// Close once the output queue drains (error responses,
     /// `Connection: close`, shutdown drain).
     close_after_write: bool,
@@ -163,13 +153,13 @@ pub(crate) struct Conn {
     buffer_cap: usize,
     /// Last moment bytes moved on this connection (idle-eviction clock).
     last_activity: Instant,
-    /// Parser CPU spent on the request currently being assembled,
-    /// accumulated across reads (becomes the parse-stage span when the
-    /// request completes — or when it is rejected).
-    parse_accum_micros: u64,
+    /// Parser CPU (nanoseconds) spent on the request currently being
+    /// assembled, accumulated across reads (becomes the parse-stage span
+    /// when the request completes — or when it is rejected).
+    parse_accum_nanos: u64,
     /// When the first byte of the request being assembled arrived;
     /// protocol rejects record their latency sample from this clock
-    /// (dispatched requests switch to the reactor's dispatch clock).
+    /// (parsed requests switch to the reactor's clock).
     request_started: Option<Instant>,
 }
 
@@ -196,14 +186,13 @@ impl Conn {
             reactor,
             parser: RequestParser::new(limits),
             out: OutQueue::default(),
-            phase: Phase::Idle,
             close_after_write: false,
             peer_closed: false,
             // Generous: a full head plus a full body for the parsed
             // request and the same again for pipelined readahead.
             buffer_cap: 2 * (limits.max_header_bytes + limits.max_body_bytes),
             last_activity: now,
-            parse_accum_micros: 0,
+            parse_accum_nanos: 0,
             request_started: None,
         })
     }
@@ -213,9 +202,7 @@ impl Conn {
         &self.stream
     }
 
-    /// Trace-ring stripe for this connection's reactor-thread spans
-    /// (pool workers use `1 + worker_index % 7`; a stripe collision
-    /// between a reactor and a worker costs a dropped span at worst).
+    /// Trace-ring stripe for this connection's spans (its reactor's).
     fn stripe(&self) -> usize {
         self.reactor % TRACE_STRIPES
     }
@@ -226,7 +213,7 @@ impl Conn {
     /// the peer half-closes: a level-triggered poller reports an
     /// EOF-readable socket forever, so read interest must drop with
     /// `peer_closed` or a client that sends-then-`shutdown(WR)`s while
-    /// its request is in the scoring pool would spin the reactor.
+    /// its response is still flushing would spin the reactor.
     /// Write interest only while output is pending.
     pub(crate) fn interest(&self) -> Interest {
         Interest {
@@ -235,26 +222,19 @@ impl Conn {
         }
     }
 
-    /// True while a request is dispatched to the scoring pool (such a
-    /// connection is never idle-evicted — the clock is on the pool).
-    pub(crate) fn in_flight(&self) -> bool {
-        self.phase == Phase::InFlight
-    }
-
     /// Last moment bytes moved on this connection.
     pub(crate) fn last_activity(&self) -> Instant {
         self.last_activity
     }
 
-    /// Shutdown drain triage: an idle connection with nothing queued
-    /// closes immediately (returns `true`; a partially received request
-    /// dies with it — the server is going away and a partial stream
-    /// cannot be resynchronised anyway). A connection whose request is
-    /// in flight, or whose response is still flushing, is marked to
-    /// close the moment its output drains.
+    /// Shutdown drain triage: a connection with nothing queued closes
+    /// immediately (returns `true`; a partially received request dies
+    /// with it — the server is going away and a partial stream cannot
+    /// be resynchronised anyway). A connection whose response is still
+    /// flushing is marked to close the moment its output drains.
     pub(crate) fn begin_drain(&mut self) -> bool {
         self.close_after_write = true;
-        self.phase == Phase::Idle && self.out.is_empty()
+        self.out.is_empty()
     }
 
     /// The poller says the socket is readable: pull bytes into the
@@ -276,12 +256,12 @@ impl Conn {
                 }
                 Ok(n) => {
                     self.parser.feed(&chunk[..n]);
-                    if self.request_started.is_none() && self.phase == Phase::Idle {
+                    if self.request_started.is_none() {
                         self.request_started = Some(now);
                     }
                     self.last_activity = now;
                     if self.parser.buffered() > self.buffer_cap {
-                        // Flooding while a request is in flight: drop
+                        // Flooding while a response is backed up: drop
                         // the peer rather than buffer without bound.
                         return Step::Close;
                     }
@@ -305,13 +285,13 @@ impl Conn {
         }
     }
 
-    /// The scoring pool finished the in-flight request: queue the
-    /// response and push the lifecycle forward (write what the socket
-    /// accepts now; parse the next pipelined request if one is already
+    /// The reactor answered the dispatched request: queue the response
+    /// and push the lifecycle forward (write what the socket accepts
+    /// now; parse the next pipelined request if one is already
     /// buffered). The write-stage span covers the immediate flush pass
     /// — what the kernel accepts now; a backpressure remainder drains
     /// on later writable events and is not re-counted.
-    pub(crate) fn complete(
+    pub(crate) fn respond(
         &mut self,
         io: &mut dyn Backend,
         response: Vec<u8>,
@@ -319,8 +299,6 @@ impl Conn {
         request_id: u64,
         now: Instant,
     ) -> Step {
-        debug_assert!(self.phase == Phase::InFlight, "completion without dispatch");
-        self.phase = Phase::Idle;
         if !keep_alive {
             self.close_after_write = true;
         }
@@ -334,7 +312,7 @@ impl Conn {
             self.stripe(),
             request_id,
             Stage::Write,
-            urlid_telemetry::duration_micros(write_started.elapsed()),
+            urlid_telemetry::duration_nanos(write_started.elapsed()),
         );
         if flushed.is_err() {
             return Step::Close;
@@ -385,30 +363,26 @@ impl Conn {
         if self.close_after_write {
             return Step::Close;
         }
-        if self.phase == Phase::InFlight {
-            return Step::Continue;
-        }
         let parse_started = Instant::now();
         let parsed = self.parser.next_request();
-        self.parse_accum_micros = self
-            .parse_accum_micros
-            .saturating_add(urlid_telemetry::duration_micros(parse_started.elapsed()));
+        self.parse_accum_nanos = self
+            .parse_accum_nanos
+            .saturating_add(urlid_telemetry::duration_nanos(parse_started.elapsed()));
         match parsed {
             Ok(Some(request)) => {
                 let metrics = self.state.metrics();
                 let request_id = metrics.next_request_id();
-                let parse_micros = std::mem::take(&mut self.parse_accum_micros);
+                let parse_nanos = std::mem::take(&mut self.parse_accum_nanos);
                 metrics.record_stage_into(
                     &self.stats.parse,
                     self.stripe(),
                     request_id,
                     Stage::Parse,
-                    parse_micros,
+                    parse_nanos,
                 );
-                // Dispatched: the end-to-end latency clock is the
-                // reactor's dispatch timestamp from here on.
+                // Parsed: the end-to-end latency clock is the reactor's
+                // from here on.
                 self.request_started = None;
-                self.phase = Phase::InFlight;
                 Step::Dispatch(request, request_id)
             }
             Ok(None) => {
@@ -440,20 +414,20 @@ impl Conn {
         // server is being abused.
         let metrics = self.state.metrics();
         metrics.errors.fetch_add(1, Ordering::Relaxed);
-        let total_micros = self
+        let total_nanos = self
             .request_started
             .take()
-            .map(|started| urlid_telemetry::duration_micros(started.elapsed()))
+            .map(|started| urlid_telemetry::duration_nanos(started.elapsed()))
             .unwrap_or(0);
-        metrics.record_latency(total_micros);
-        let parse_micros = std::mem::take(&mut self.parse_accum_micros);
+        metrics.record_latency(total_nanos);
+        let parse_nanos = std::mem::take(&mut self.parse_accum_nanos);
         let request_id = metrics.next_request_id();
         metrics.record_stage_into(
             &self.stats.parse,
             self.stripe(),
             request_id,
             Stage::Parse,
-            parse_micros,
+            parse_nanos,
         );
         self.close_after_write = true;
         self.queue_bytes(http::response_bytes(status, &error_body(message), false));
@@ -463,13 +437,12 @@ impl Conn {
         Step::Continue
     }
 
-    /// Admission control tripped: the owning reactor is at its
-    /// in-flight limit, so answer `503` right here on the reactor
-    /// thread — the scoring pool never sees the request, which is the
-    /// point: rejecting must stay cheap when the server is drowning.
-    /// Unlike protocol rejects the connection stays usable (the stream
-    /// is still synchronised), so keep-alive is honoured and the
-    /// client can retry on the same connection.
+    /// Admission control tripped: the owning reactor has already served
+    /// its budget of connections this event-loop pass, so answer `503`
+    /// without running the handler — rejecting must stay cheap when the
+    /// server is drowning. Unlike protocol rejects the connection stays
+    /// usable (the stream is still synchronised), so keep-alive is
+    /// honoured and the client can retry on the same connection.
     ///
     /// The reject counts in the per-reactor `admission_rejects`
     /// counter, not in `errors` and not in the latency histogram:
@@ -483,8 +456,6 @@ impl Conn {
         keep_alive: bool,
         now: Instant,
     ) -> Step {
-        debug_assert!(self.phase == Phase::InFlight, "overload without dispatch");
-        self.phase = Phase::Idle;
         self.stats.admission_rejects.fetch_add(1, Ordering::Relaxed);
         if !keep_alive {
             self.close_after_write = true;

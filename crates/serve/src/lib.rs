@@ -7,30 +7,30 @@
 //!
 //! Everything is built on the standard library only (the build container
 //! has no crates.io access, so no tokio/hyper/mio — the same vendoring
-//! philosophy as the rest of the workspace):
+//! philosophy as the rest of the workspace), and the crate targets
+//! Linux only:
 //!
 //! * [`sys`] — the pluggable I/O engines behind one `Backend` trait: a
 //!   hand-rolled **io_uring** engine (raw `io_uring_setup`/`enter`
 //!   syscalls, mmap'd SQ/CQ rings, one batched submission per loop
-//!   iteration) next to the readiness pollers (epoll on Linux,
-//!   `poll(2)` on other unix targets), the self-pipe waker, and the
-//!   `SO_REUSEPORT` listener binder behind the reactor sharding (the
-//!   one module with `unsafe` in it). `--io auto` probes io_uring at
-//!   boot and falls back to epoll where the kernel or a sandbox denies
-//!   it;
+//!   iteration) next to the epoll readiness poller, the self-pipe
+//!   waker, and the `SO_REUSEPORT` listener binder behind the reactor
+//!   sharding (the one module with `unsafe` in it). `--io auto` probes
+//!   io_uring at boot and falls back to epoll where the kernel or a
+//!   sandbox denies it;
 //! * [`http`] — a minimal HTTP/1.1 codec whose server side is an
 //!   **incremental parser** (feed bytes → `NeedMore | Request | Error`)
 //!   that tolerates partial reads, pipelined requests and slow clients
 //!   without ever blocking a thread;
-//! * `conn` / `reactor` / `pool` (internal) — the **event-driven
-//!   connection engine**: per-connection state machines multiplexed by
-//!   `N` reactor threads (each owning its own `SO_REUSEPORT` listener,
-//!   connection slab, wake pipe, and cache shard set — connections
-//!   never migrate between reactors), with fully parsed requests
-//!   dispatched to a scoring pool sized to the CPU count and per-reactor
-//!   admission control shedding overload as `503`s. Thousands of
-//!   mostly-idle keep-alive connections are served by `reactors + cores`
-//!   threads total;
+//! * `conn` / `reactor` (internal) — the **event-driven connection
+//!   engine**: per-connection state machines multiplexed by `N`
+//!   reactor threads, one per core by default (each owning its own
+//!   `SO_REUSEPORT` listener, connection slab, wake pipe, and cache
+//!   shard set — connections never migrate between reactors). Each
+//!   reactor scores the requests it parses and writes the responses in
+//!   the same pass, with per-pass admission control shedding overload
+//!   as `503`s. Thousands of mostly-idle keep-alive connections are
+//!   served by the reactor threads alone;
 //! * [`cache`] — a mutex-striped, capacity-bounded LRU **result cache**
 //!   keyed by normalised URL — partitionable into per-reactor shard
 //!   sets — so repeated URLs skip tokenisation and feature extraction
@@ -39,7 +39,7 @@
 //! * [`metrics`] — request counters, connection gauges (open / idle /
 //!   accepted / timed-out), the end-to-end latency histogram, and the
 //!   **stage-span plane**: per-stage log-linear histograms
-//!   (parse / queue / cache / extract / score / write, shared
+//!   (parse / cache / extract / score / write, in nanoseconds, shared
 //!   `urlid-telemetry` buckets) plus a striped fixed-size trace ring
 //!   with request-id correlation — all behind relaxed atomics and
 //!   try-lock ring writes, exported by `GET /metrics` (JSON by
@@ -95,12 +95,16 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+// The engines are epoll and io_uring, and the reactor sharding needs
+// Linux's `SO_REUSEPORT` load balancing.
+#[cfg(not(target_os = "linux"))]
+compile_error!("urlid-serve supports Linux only");
+
 pub mod cache;
 mod conn;
 pub mod http;
 pub mod loadgen;
 pub mod metrics;
-mod pool;
 mod reactor;
 pub mod server;
 pub mod sys;
@@ -110,4 +114,4 @@ pub use loadgen::{
     run_loadgen, run_suite, BenchReport, BenchSuite, LoadgenConfig, SERVE_BENCH_SCHEMA,
 };
 pub use metrics::Metrics;
-pub use server::{default_reactors, spawn, PoolTopology, ServeConfig, ServerHandle, ServerState};
+pub use server::{default_reactors, spawn, ServeConfig, ServerHandle, ServerState};

@@ -203,7 +203,7 @@ pub struct BenchReport {
     /// Admission-control responses (`503`/`413`) received across the
     /// run — deliberate load shedding, counted apart from `errors`.
     pub admission_rejects: u64,
-    /// Server thread budget (reactors + scoring pool) read from
+    /// Server thread budget (the reactor set) read from
     /// `GET /metrics` after the run; 0 when the server predates the
     /// gauge. This is what certifies "1024 connections, bounded
     /// threads".

@@ -6,12 +6,15 @@
 //! (slightly racy, monotonically consistent-enough) snapshot — the
 //! standard trade-off for serving metrics.
 //!
-//! Latency and the six pipeline stages (parse / queue / cache /
-//! extract / score / write) share the log-linear histogram from
-//! `urlid-telemetry` (≤ 3.125% relative quantile error; see that
-//! crate's docs). Stage spans additionally land in a striped
-//! fixed-size [`TraceBuffer`] with request-id correlation, which
-//! `GET /admin/trace` snapshots for slow-request forensics. The
+//! Latency and the five pipeline stages (parse / cache / extract /
+//! score / write) share the log-linear histogram from `urlid-telemetry`
+//! (≤ 3.125% relative quantile error; see that crate's docs), recorded
+//! in nanoseconds: a cache hit's stages each take well under a
+//! microsecond, so whole-µs records would read 0. The expositions
+//! convert (`*_ms` in JSON, `_seconds` in Prometheus, whole µs in
+//! `/admin/trace` and the slow log). Stage spans additionally land in
+//! a striped fixed-size [`TraceBuffer`] with request-id correlation,
+//! which `GET /admin/trace` snapshots for slow-request forensics. The
 //! whole span plane can be disabled (`urlid serve --telemetry off`);
 //! counters and end-to-end latency stay on regardless.
 
@@ -22,9 +25,8 @@ use std::time::Instant;
 use urlid_telemetry::{AtomicHistogram, Histogram, SlowLog, SpanRecord, Stage, TraceBuffer};
 
 /// Trace ring stripes. Reactor `r` records into stripe `r %
-/// TRACE_STRIPES`; worker `i` records into `1 + (i % 7)` — recording
-/// is a try-lock, so stripe collisions cost dropped spans at worst,
-/// never blocking.
+/// TRACE_STRIPES` — recording is a try-lock, so stripe collisions cost
+/// dropped spans at worst, never blocking.
 pub(crate) const TRACE_STRIPES: usize = 8;
 
 /// Span records kept per stripe; `GET /admin/trace` returns at most
@@ -41,13 +43,13 @@ pub struct ReactorStats {
     pub accepted: AtomicU64,
     /// Connections currently registered in this reactor's slab (gauge).
     pub open: AtomicU64,
-    /// Connections with a request currently dispatched to the scoring
-    /// pool (gauge); `open - busy` is the number of idle keep-alives.
+    /// Connections whose request the reactor is handling right now
+    /// (gauge); `open - busy` is the number of idle keep-alives.
     pub busy: AtomicU64,
     /// Connections this reactor evicted on idle timeout (counter).
     pub timed_out: AtomicU64,
     /// Requests answered 503 by this reactor's admission control
-    /// because its in-flight limit was reached (counter).
+    /// because its per-pass budget was spent (counter).
     pub admission_rejects: AtomicU64,
     /// Parse-stage durations measured on this reactor's thread.
     pub parse: AtomicHistogram,
@@ -96,30 +98,24 @@ pub struct Metrics {
     /// Reactors whose thread died on a panic (gauge; nonzero means the
     /// server is draining toward a nonzero exit).
     pub reactors_failed: AtomicU64,
-    /// Per-reactor in-flight dispatch limit, recorded at spawn (0 =
-    /// unlimited). Exposed so the load generator can size overload
-    /// scenarios against the real admission threshold.
+    /// Per-reactor admission budget (connections served per event-loop
+    /// pass), recorded at spawn (0 = unlimited). Exposed so the load
+    /// generator can size overload scenarios against the real admission
+    /// threshold.
     pub max_inflight: AtomicU64,
-    /// Whether the listeners share one port via `SO_REUSEPORT` (true)
-    /// or fall back to accept-racing clones of a single listener.
-    pub reuseport: AtomicBool,
     /// Which I/O engine the reactors multiplex through, recorded at
     /// spawn after the `--io` capability probe resolved: 0 = epoll,
-    /// 1 = uring, 2 = poll (see [`Metrics::io_backend`]).
+    /// 1 = uring (see [`Metrics::io_backend`]).
     io_backend: AtomicU8,
-    /// Scoring-pool size, recorded at spawn (the reactors add
-    /// `threads.reactor` more; together they are the server's whole
-    /// thread budget).
-    pub scoring_threads: AtomicU64,
-    /// End-to-end latency (reactor dispatch → response handed to the
-    /// socket) of `/identify` and `/identify_batch` — protocol-level
-    /// `400`/`413` rejects included, so overload percentiles are
-    /// honest.
+    /// End-to-end latency in nanoseconds (parsed request → response
+    /// handed to the socket) of `/identify` and `/identify_batch` —
+    /// protocol-level `400`/`413` rejects included, so overload
+    /// percentiles are honest.
     pub latency: AtomicHistogram,
     /// Slow-request log decisions (threshold-gated, rate-limited).
     pub slow: SlowLog,
-    /// Per-stage duration histograms, indexed by [`Stage`].
-    stages: [AtomicHistogram; 6],
+    /// Per-stage duration histograms (nanoseconds), indexed by [`Stage`].
+    stages: [AtomicHistogram; Stage::ALL.len()],
     /// Striped span rings behind `GET /admin/trace`.
     trace: TraceBuffer,
     /// Span recording on/off (`urlid serve --telemetry off` for A/B
@@ -151,9 +147,7 @@ impl Metrics {
             reactors: RwLock::new(Vec::new()),
             reactors_failed: AtomicU64::new(0),
             max_inflight: AtomicU64::new(0),
-            reuseport: AtomicBool::new(false),
             io_backend: AtomicU8::new(0),
-            scoring_threads: AtomicU64::new(0),
             latency: AtomicHistogram::new(),
             slow: SlowLog::new(),
             stages: std::array::from_fn(|_| AtomicHistogram::new()),
@@ -232,10 +226,10 @@ impl Metrics {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Microseconds since the server started (span timestamps and the
+    /// Nanoseconds since the server started (span timestamps and the
     /// slow-log rate limiter share this clock).
-    pub fn now_micros(&self) -> u64 {
-        urlid_telemetry::duration_micros(self.start.elapsed())
+    pub fn now_nanos(&self) -> u64 {
+        urlid_telemetry::duration_nanos(self.start.elapsed())
     }
 
     /// A fresh request id (assigned when a request finishes parsing).
@@ -254,34 +248,35 @@ impl Metrics {
         self.telemetry_enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Record one end-to-end request latency (always on).
-    pub fn record_latency(&self, micros: u64) {
-        self.latency.record(micros);
+    /// Record one end-to-end request latency in nanoseconds (always
+    /// on).
+    pub fn record_latency(&self, nanos: u64) {
+        self.latency.record(nanos);
     }
 
-    /// Record one stage span: the duration lands in the stage's
-    /// histogram and (best-effort, never blocking) in the trace ring.
-    /// No-op with telemetry off; allocation-free either way.
+    /// Record one stage span (nanoseconds): the duration lands in the
+    /// stage's histogram and (best-effort, never blocking) in the trace
+    /// ring. No-op with telemetry off; allocation-free either way.
     #[inline]
     pub fn record_stage(
         &self,
         stripe: usize,
         request_id: u64,
         stage: Stage,
-        start_micros: u64,
-        duration_micros: u64,
+        start_nanos: u64,
+        duration_nanos: u64,
     ) {
         if !self.telemetry_enabled() {
             return;
         }
-        self.stages[stage as usize].record(duration_micros);
+        self.stages[stage as usize].record(duration_nanos);
         self.trace.record(
             stripe,
             SpanRecord {
                 request_id,
                 stage,
-                start_micros,
-                duration_micros,
+                start_nanos,
+                duration_nanos,
             },
         );
     }
@@ -294,13 +289,13 @@ impl Metrics {
         stripe: usize,
         request_id: u64,
         stage: Stage,
-        duration_micros: u64,
+        duration_nanos: u64,
     ) {
         if !self.telemetry_enabled() {
             return;
         }
-        let start = self.now_micros().saturating_sub(duration_micros);
-        self.record_stage(stripe, request_id, stage, start, duration_micros);
+        let start = self.now_nanos().saturating_sub(duration_nanos);
+        self.record_stage(stripe, request_id, stage, start, duration_nanos);
     }
 
     /// [`Metrics::record_stage`], but the duration lands in a
@@ -315,20 +310,20 @@ impl Metrics {
         stripe: usize,
         request_id: u64,
         stage: Stage,
-        duration_micros: u64,
+        duration_nanos: u64,
     ) {
         if !self.telemetry_enabled() {
             return;
         }
-        hist.record(duration_micros);
-        let start = self.now_micros().saturating_sub(duration_micros);
+        hist.record(duration_nanos);
+        let start = self.now_nanos().saturating_sub(duration_nanos);
         self.trace.record(
             stripe,
             SpanRecord {
                 request_id,
                 stage,
-                start_micros: start,
-                duration_micros,
+                start_nanos: start,
+                duration_nanos,
             },
         );
     }
@@ -438,23 +433,15 @@ impl Metrics {
             "admission_rejects",
             Value::Uint(self.admission_rejects_total()),
         );
-        reactors.insert(
-            "reuseport",
-            Value::Bool(self.reuseport.load(Ordering::Relaxed)),
-        );
         reactors.insert("io_backend", Value::Str(self.io_backend().to_owned()));
         reactors
     }
 
-    /// Record which I/O engine the reactors were spawned with (one of
-    /// `"epoll"`, `"uring"`, `"poll"`; anything else is recorded as
-    /// epoll — the engine resolution only produces those three).
+    /// Record which I/O engine the reactors were spawned with
+    /// (`"epoll"` or `"uring"`; anything else is recorded as epoll —
+    /// the engine resolution only produces those two).
     pub fn set_io_backend(&self, name: &str) {
-        let code = match name {
-            "uring" => 1,
-            "poll" => 2,
-            _ => 0,
-        };
+        let code = u8::from(name == "uring");
         self.io_backend.store(code, Ordering::Relaxed);
     }
 
@@ -463,21 +450,18 @@ impl Metrics {
     pub fn io_backend(&self) -> &'static str {
         match self.io_backend.load(Ordering::Relaxed) {
             1 => "uring",
-            2 => "poll",
             _ => "epoll",
         }
     }
 
     /// The thread-budget section of the `/metrics` response: the
-    /// reactors plus the scoring pool is every thread the server runs,
-    /// independent of how many connections are open.
+    /// reactors are every thread the server runs, independent of how
+    /// many connections are open.
     pub fn threads_value(&self) -> Value {
         let reactor = self.reactor_count() as u64;
-        let scoring = self.scoring_threads.load(Ordering::Relaxed);
         let mut threads = Value::object();
         threads.insert("reactor", Value::Uint(reactor));
-        threads.insert("scoring", Value::Uint(scoring));
-        threads.insert("total", Value::Uint(reactor + scoring));
+        threads.insert("total", Value::Uint(reactor));
         threads
     }
 
@@ -499,16 +483,19 @@ impl Metrics {
     }
 }
 
-/// Render a histogram snapshot as the JSON `/metrics` shape: `count`,
-/// `p50_ms`/`p90_ms`/`p99_ms`/`p999_ms`, `mean_ms`, and the non-empty
-/// buckets as `{"le_ms": .., "count": ..}` (`le_ms` is the bucket's
-/// inclusive upper bound in milliseconds). Quantiles are `null` before
-/// the first sample.
+/// Nanoseconds per millisecond: the JSON exposition's unit factor.
+const NANOS_PER_MS: f64 = 1e6;
+
+/// Render a nanosecond histogram snapshot as the JSON `/metrics` shape:
+/// `count`, `p50_ms`/`p90_ms`/`p99_ms`/`p999_ms`, `mean_ms`, and the
+/// non-empty buckets as `{"le_ms": .., "count": ..}` (`le_ms` is the
+/// bucket's inclusive upper bound in milliseconds). Quantiles are
+/// `null` before the first sample.
 pub(crate) fn histogram_value(hist: &Histogram) -> Value {
     let mut out = Value::object();
     out.insert("count", Value::Uint(hist.count()));
     let quantile = |q| match hist.quantile(q) {
-        Some(micros) => Value::Float(micros as f64 / 1000.0),
+        Some(nanos) => Value::Float(nanos as f64 / NANOS_PER_MS),
         None => Value::Null,
     };
     out.insert("p50_ms", quantile(0.50));
@@ -520,13 +507,13 @@ pub(crate) fn histogram_value(hist: &Histogram) -> Value {
         if hist.count() == 0 {
             Value::Null
         } else {
-            Value::Float(hist.mean() / 1000.0)
+            Value::Float(hist.mean() / NANOS_PER_MS)
         },
     );
     let mut buckets = Vec::new();
     for (_, upper, count) in hist.nonzero_buckets() {
         let mut entry = Value::object();
-        entry.insert("le_ms", Value::Float(upper as f64 / 1000.0));
+        entry.insert("le_ms", Value::Float(upper as f64 / NANOS_PER_MS));
         entry.insert("count", Value::Uint(count));
         buckets.push(entry);
     }
@@ -544,10 +531,10 @@ mod tests {
         assert_eq!(m.latency_value().get("p50_ms"), Some(&Value::Null));
         // 90 fast requests (~7 µs), 10 slow (~1500 µs).
         for _ in 0..90 {
-            m.record_latency(7);
+            m.record_latency(7_000);
         }
         for _ in 0..10 {
-            m.record_latency(1500);
+            m.record_latency(1_500_000);
         }
         let v = m.latency_value();
         assert_eq!(v.get("count"), Some(&Value::Uint(100)));
@@ -576,7 +563,7 @@ mod tests {
         m.record_stage(1, id, Stage::Score, 20, 45);
         assert_eq!(m.stage_histogram(Stage::Parse).count(), 1);
         assert_eq!(m.stage_histogram(Stage::Score).count(), 1);
-        assert_eq!(m.stage_histogram(Stage::Queue).count(), 0);
+        assert_eq!(m.stage_histogram(Stage::Extract).count(), 0);
         let spans = m.trace_snapshot();
         assert_eq!(spans.len(), 2);
         assert!(spans.iter().all(|s| s.request_id == id));
@@ -584,9 +571,23 @@ mod tests {
         let parse = stages.get("parse").expect("parse stage");
         assert_eq!(parse.get("count"), Some(&Value::Uint(1)));
         assert_eq!(
-            stages.get("queue").and_then(|s| s.get("count")),
+            stages.get("extract").and_then(|s| s.get("count")),
             Some(&Value::Uint(0))
         );
+        assert!(stages.get("queue").is_none(), "no queue stage");
+    }
+
+    #[test]
+    fn sub_microsecond_stages_keep_their_nanoseconds() {
+        let m = Metrics::new();
+        m.record_stage(0, m.next_request_id(), Stage::Write, 0, 300);
+        let stages = m.stages_value();
+        let write = stages.get("write").expect("write stage");
+        assert_eq!(write.get("mean_ms"), Some(&Value::Float(0.0003)));
+        let Some(Value::Float(p50)) = write.get("p50_ms") else {
+            panic!("p50_ms must be a number");
+        };
+        assert!((0.0003..=0.0003 * 1.03125).contains(p50), "p50 {p50}");
     }
 
     #[test]
@@ -632,11 +633,10 @@ mod tests {
         assert_eq!(m.connections_accepted_total(), 16);
         assert_eq!(m.admission_rejects_total(), 2);
 
-        m.scoring_threads.store(4, Ordering::Relaxed);
         let t = m.threads_value();
         assert_eq!(t.get("reactor"), Some(&Value::Uint(2)));
-        assert_eq!(t.get("scoring"), Some(&Value::Uint(4)));
-        assert_eq!(t.get("total"), Some(&Value::Uint(6)));
+        assert_eq!(t.get("total"), Some(&Value::Uint(2)));
+        assert!(t.get("scoring").is_none(), "no scoring pool");
 
         let r = m.reactors_value();
         assert_eq!(r.get("count"), Some(&Value::Uint(2)));

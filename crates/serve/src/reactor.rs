@@ -1,87 +1,99 @@
-//! The reactor: one thread multiplexing its share of the connections.
+//! The reactor: one thread multiplexing, parsing and answering its
+//! share of the connections.
 //!
 //! Each of the server's `N` reactors is a single event loop owning its
 //! own listening socket (an `SO_REUSEPORT` sibling — see
 //! `server::bind_listeners`), its own wake pipe, and its own slab of
 //! [`Conn`] state machines, all registered in one I/O engine behind the
-//! [`Backend`] trait (io_uring or epoll on Linux, `poll(2)` elsewhere —
-//! see [`crate::sys`]). The loop blocks in
-//! `wait` until something is ready, drives exactly the connections the
-//! kernel names, hands fully parsed requests to the scoring pool, and
-//! writes finished responses back. An idle keep-alive connection
-//! therefore costs one slab slot and one kernel registration — not a
+//! [`Backend`] trait (io_uring or epoll — see [`crate::sys`]). The loop
+//! blocks in `wait` until something is ready, drives exactly the
+//! connections the kernel names, runs each fully parsed request's
+//! handler right here (`server::route`: cache probe, extraction,
+//! scoring, JSON) and writes the response in the same pass. A request
+//! never leaves the thread that parsed it. An idle keep-alive
+//! connection costs one slab slot and one kernel registration — not a
 //! thread: thousands of mostly-idle crawl-frontier clients are served
-//! by `reactors + cores` threads total. A connection adopted by one
-//! reactor lives and dies on that reactor — no slab slot, poller
-//! registration, or gauge is ever touched from a sibling's thread.
+//! by one reactor per core. A connection adopted by one reactor lives
+//! and dies on that reactor — no slab slot, poller registration, or
+//! gauge is ever touched from a sibling's thread.
+//!
+//! The price is head-of-line blocking: a slow handler (a kNN model, a
+//! large batch, an `/admin/reload` model load) delays every other
+//! connection on its reactor until it returns.
 //!
 //! ## Admission control
 //!
-//! Each reactor caps how many of its requests may sit in the scoring
-//! pool at once (`ServeConfig::max_inflight`). A dispatch over the cap
-//! is answered `503` right here on the reactor thread — the request
-//! never crosses into the pool, so overload sheds work at the cheapest
-//! possible point instead of queueing it into ever-worse latency.
+//! Each reactor serves at most `ServeConfig::max_inflight` connections
+//! per event-loop pass (one `Backend::wait` return). The request of the
+//! next ready connection in that pass is answered `503` on the spot,
+//! without running its handler, so a burst wider than the budget sheds
+//! work at the cheapest possible point instead of stretching the pass
+//! — and with it every admitted client's wait. Pipelined follow-ups on
+//! a connection already admitted in the pass are never shed.
+//!
+//! ## Handler panics
+//!
+//! A panic in a handler is caught around `route`: the request is
+//! answered `500` (counted in `errors`), the reactor swaps in fresh
+//! extraction scratch buffers in case the panic left them half
+//! written, and the connection keeps serving.
 //!
 //! ## Tokens and generations
 //!
 //! Every registration carries a `u64` token: slab index in the low 32
-//! bits, a per-slot generation in the high 32. A completion that comes
-//! back from the pool after its connection died (flood kill, write
-//! error) carries a stale generation and is dropped instead of being
-//! written to whatever connection reuses the slot.
+//! bits, a per-slot generation in the high 32. An event for a
+//! connection that was closed earlier in the same pass carries a stale
+//! generation and is dropped instead of driving whatever connection
+//! reuses the slot.
 //!
 //! ## Shutdown
 //!
-//! The server handle flips the shutdown flag and writes the wake pipe
-//! (no more throwaway `TcpStream::connect` to unblock an accept loop).
+//! The server handle flips the shutdown flag and writes the wake pipe.
 //! The reactor then stops accepting, closes idle connections at request
-//! boundaries, lets in-flight requests finish and flush, and force
-//! closes whatever remains at the drain deadline.
+//! boundaries, lets responses still flushing finish, and force closes
+//! whatever remains at the drain deadline.
 
 use crate::conn::{Conn, Step};
-use crate::http::ParserLimits;
-use crate::metrics::ReactorStats;
-use crate::pool::{Completion, Job};
-use crate::server::{ServeConfig, ServerState};
+use crate::http::{self, ParserLimits, Request};
+use crate::metrics::{ReactorStats, TRACE_STRIPES};
+use crate::server::{error_body, route, RequestTrace, ServeConfig, ServerState};
 use crate::sys::{Backend, Event, Interest, WakePipe, LISTENER, WAKE};
 use std::net::TcpListener;
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use urlid_features::ExtractScratch;
+use urlid_telemetry::duration_nanos;
 
 /// One slab slot: the connection (when occupied), its registration
-/// generation, and the interest set currently registered in the poller
-/// (so interest changes only touch the kernel when they really change).
+/// generation, the interest set currently registered in the poller
+/// (so interest changes only touch the kernel when they really
+/// change), and the last event-loop pass the connection was admitted
+/// in (see the module docs' admission control).
 struct Slot {
     gen: u32,
     conn: Option<Conn>,
     interest: Interest,
+    admitted_pass: u64,
 }
 
 /// The event loop (see module docs). Constructed by `server::spawn`,
 /// consumed by [`Reactor::run`] on the reactor thread.
 pub(crate) struct Reactor {
     /// This reactor's index in the server's reactor set (the
-    /// `X-Urlid-Reactor` value, the completion-port index, and the
-    /// trace-stripe selector).
+    /// `X-Urlid-Reactor` value and the trace-stripe selector).
     index: usize,
     /// The I/O engine this reactor multiplexes through — chosen once at
-    /// spawn (`--io`): the uring completion engine or a readiness
-    /// poller (epoll / `poll(2)`).
+    /// spawn (`--io`): the uring completion engine or the epoll
+    /// readiness poller.
     backend: Box<dyn Backend>,
     listener: TcpListener,
     wake: WakePipe,
     slots: Vec<Slot>,
     free: Vec<u32>,
     open: usize,
-    jobs: Sender<Job>,
-    completions: Receiver<Completion>,
-    /// Completion backlog estimate shared with the workers (they elide
-    /// the wake syscall when it says the reactor will look anyway).
-    pending: Arc<AtomicI64>,
     /// This reactor's private gauge/histogram plane (exposition sums
     /// across reactors; nothing here is written by a sibling).
     stats: Arc<ReactorStats>,
@@ -90,11 +102,16 @@ pub(crate) struct Reactor {
     limits: ParserLimits,
     idle_timeout: Duration,
     drain_timeout: Duration,
-    /// Requests currently dispatched to the scoring pool from this
-    /// reactor (plain field — only this thread touches it).
-    inflight: usize,
-    /// Admission-control cap on `inflight` (`usize::MAX` = unlimited).
-    max_inflight: usize,
+    /// The extraction buffers every cache miss on this reactor scores
+    /// through: after warm-up, scoring a URL allocates nothing.
+    scratch: ExtractScratch,
+    /// Event-loop passes so far (one per `Backend::wait` return).
+    pass: u64,
+    /// Connections admitted in the current pass.
+    admitted: usize,
+    /// Admission budget: connections served per pass (`usize::MAX` =
+    /// unlimited).
+    admit_per_pass: usize,
     /// The result-cache shard set this reactor's requests probe
     /// (`index % cache.sets()`, precomputed).
     cache_set: usize,
@@ -110,20 +127,13 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    /// Wire up a reactor over an already-bound, non-blocking listener.
-    /// (One argument per collaborating half — channels, wake pipe,
-    /// stats, shared state — bundling them into a struct would just
-    /// move the same names one level down.)
-    #[allow(clippy::too_many_arguments)]
+    /// Wire up a reactor over an already-bound, non-blocking listener
+    /// and register its stats plane (reactors register in index order).
     pub(crate) fn new(
         index: usize,
         mut backend: Box<dyn Backend>,
         listener: TcpListener,
         wake: WakePipe,
-        jobs: Sender<Job>,
-        completions: Receiver<Completion>,
-        pending: Arc<AtomicI64>,
-        stats: Arc<ReactorStats>,
         state: Arc<ServerState>,
         shutdown: Arc<AtomicBool>,
         config: &ServeConfig,
@@ -132,6 +142,7 @@ impl Reactor {
         backend.add(wake.fd(), WAKE, Interest::READ)?;
         let now = Instant::now();
         let cache_set = index % state.cache().sets();
+        let stats = state.metrics().register_reactor();
         Ok(Reactor {
             index,
             backend,
@@ -140,9 +151,6 @@ impl Reactor {
             slots: Vec::new(),
             free: Vec::new(),
             open: 0,
-            jobs,
-            completions,
-            pending,
             stats,
             state,
             shutdown,
@@ -152,8 +160,10 @@ impl Reactor {
             },
             idle_timeout: config.idle_timeout,
             drain_timeout: config.drain_timeout,
-            inflight: 0,
-            max_inflight: if config.max_inflight == 0 {
+            scratch: ExtractScratch::new(),
+            pass: 0,
+            admitted: 0,
+            admit_per_pass: if config.max_inflight == 0 {
                 usize::MAX
             } else {
                 config.max_inflight
@@ -166,7 +176,6 @@ impl Reactor {
             accept_paused_until: None,
         })
     }
-
     /// How often to scan for idle connections: often enough that an
     /// eviction is at most ~25% late, bounded to stay cheap.
     fn evict_period(&self) -> Duration {
@@ -185,6 +194,8 @@ impl Reactor {
                 // it like an immediate shutdown.
                 self.shutdown.store(true, Ordering::Relaxed);
             }
+            self.pass += 1;
+            self.admitted = 0;
             let now = Instant::now();
             let mut accept_ready = false;
             for event in events.iter().copied() {
@@ -194,7 +205,6 @@ impl Reactor {
                     token => self.drive(token, event.readable, event.writable, now),
                 }
             }
-            self.drain_completions(now);
             if accept_ready {
                 self.accept_ready(now);
             }
@@ -253,90 +263,89 @@ impl Reactor {
         }
     }
 
-    /// Apply a state-machine step: register a dispatch (or shed it on
-    /// the admission cap), sync interest, or tear the connection down.
-    /// A loop because shedding answers the request inline and may
-    /// surface the *next* pipelined request as a fresh dispatch.
+    /// Apply a state-machine step: answer a parsed request, sync
+    /// interest, or tear the connection down. A loop because answering
+    /// a request may surface the *next* pipelined request.
     fn apply(&mut self, idx: usize, step: Step, now: Instant) {
         let mut step = step;
         loop {
-            match step {
+            step = match step {
                 Step::Continue => return self.sync_interest(idx),
-                Step::Dispatch(request, request_id) => {
-                    if self.inflight >= self.max_inflight {
-                        // Over the cap: answer 503 on this thread and
-                        // drop the parsed request without ever queueing
-                        // it — the whole point of admission control.
-                        let keep_alive = request.keep_alive;
-                        drop(request);
-                        step = self.slots[idx]
-                            .conn
-                            .as_mut()
-                            .expect("resolved")
-                            .reject_overload(&mut *self.backend, keep_alive, now);
-                        let _ = request_id;
-                        continue;
-                    }
-                    self.stats.busy.fetch_add(1, Ordering::Relaxed);
-                    self.inflight += 1;
-                    let job = Job {
-                        token: self.token_of(idx),
-                        reactor: self.index,
-                        cache_set: self.cache_set,
-                        request,
-                        request_id,
-                        dispatched_at: Instant::now(),
-                    };
-                    if self.jobs.send(job).is_err() {
-                        // Scoring pool gone — only possible mid-teardown.
-                        self.stats.busy.fetch_sub(1, Ordering::Relaxed);
-                        self.inflight -= 1;
-                        return self.close_conn(idx);
-                    }
-                    return self.sync_interest(idx);
-                }
+                Step::Dispatch(request, request_id) => self.serve(idx, request, request_id, now),
                 Step::Close => return self.close_conn(idx),
-            }
+            };
         }
     }
 
-    /// Push every finished response into its connection (stale tokens —
-    /// the connection died while its request was scored — only settle
-    /// the busy gauge).
-    fn drain_completions(&mut self, now: Instant) {
-        // Zero the wake-elision counter *before* draining. Workers send
-        // first and increment second, so every completion this swap
-        // observed is already visible to the try_recv loop below; an
-        // increment that lands after the swap sees zero and issues its
-        // own wake — no completion can get stranded until the tick.
-        self.pending.swap(0, Ordering::AcqRel);
-        while let Ok(completion) = self.completions.try_recv() {
-            self.stats.busy.fetch_sub(1, Ordering::Relaxed);
-            self.inflight = self.inflight.saturating_sub(1);
-            let Some(idx) = self.resolve(completion.token) else {
-                continue;
-            };
-            let keep_alive = completion.keep_alive && !self.draining;
-            let step = self.slots[idx].conn.as_mut().expect("resolved").complete(
-                &mut *self.backend,
-                completion.response,
-                keep_alive,
-                completion.request_id,
-                now,
-            );
-            // End-to-end: reactor dispatch → response flushed to the
-            // socket (the `complete` call above ran the write pass).
-            // `saturating` because the completion may land within the
-            // same loop iteration as its dispatch.
-            if completion.record_latency {
-                self.state
-                    .metrics()
-                    .record_latency(urlid_telemetry::duration_micros(
-                        Instant::now().saturating_duration_since(completion.dispatched_at),
-                    ));
+    /// Answer one parsed request on this thread — or shed it with a
+    /// `503` when this pass's admission budget is spent — and return
+    /// the connection's next step.
+    fn serve(&mut self, idx: usize, request: Request, request_id: u64, now: Instant) -> Step {
+        let slot = &mut self.slots[idx];
+        let conn = slot.conn.as_mut().expect("resolved");
+        if slot.admitted_pass != self.pass {
+            if self.admitted >= self.admit_per_pass {
+                return conn.reject_overload(&mut *self.backend, request.keep_alive, now);
             }
-            self.apply(idx, step, now);
+            self.admitted += 1;
+            slot.admitted_pass = self.pass;
         }
+        self.stats.busy.fetch_add(1, Ordering::Relaxed);
+        let started = Instant::now();
+        let mut trace = RequestTrace::new(request_id, self.index % TRACE_STRIPES);
+        trace.cache_set = self.cache_set;
+        let routed = catch_unwind(AssertUnwindSafe(|| {
+            route(&self.state, &request, &mut self.scratch, &mut trace)
+        }));
+        let metrics = self.state.metrics();
+        let (status, content_type, body) = routed.unwrap_or_else(|_| {
+            // The handler died partway through; whatever it left in the
+            // scratch buffers is suspect, so the next request starts
+            // from fresh ones.
+            self.scratch = ExtractScratch::new();
+            metrics.errors.fetch_add(1, Ordering::Relaxed);
+            (500, "application/json", error_body("internal error"))
+        });
+        let response = http::response_bytes_from_reactor(
+            status,
+            content_type,
+            &body,
+            request.keep_alive,
+            self.index as u64,
+        );
+        let step = conn.respond(
+            &mut *self.backend,
+            response,
+            request.keep_alive,
+            request_id,
+            now,
+        );
+        self.stats.busy.fetch_sub(1, Ordering::Relaxed);
+        // End-to-end: parsed request → response flushed to the socket
+        // (`respond` ran the write pass).
+        let total_nanos = duration_nanos(started.elapsed());
+        if matches!(request.path.as_str(), "/identify" | "/identify_batch") {
+            metrics.record_latency(total_nanos);
+        }
+        if metrics
+            .slow
+            .should_log(total_nanos / 1000, metrics.now_nanos() / 1000)
+        {
+            // Off the steady-state path by construction (threshold +
+            // rate limit); key=value so the line greps and splits
+            // mechanically.
+            eprintln!(
+                "slow_request request_id={request_id} method={} path={} status={status} \
+                 cache_us={} extract_us={} score_us={} total_us={}",
+                request.method,
+                request.path,
+                trace.cache_ns / 1000,
+                trace.extract_ns / 1000,
+                trace.score_ns / 1000,
+                total_nanos / 1000,
+            );
+        }
+        step
     }
 
     /// Accept every connection the backlog (or the uring engine's
@@ -399,6 +408,7 @@ impl Reactor {
                     gen: 0,
                     conn: None,
                     interest: Interest::READ,
+                    admitted_pass: 0,
                 });
                 self.slots.len() - 1
             }
@@ -421,6 +431,7 @@ impl Reactor {
         let fd = conn.stream().as_raw_fd();
         self.slots[idx].conn = Some(conn);
         self.slots[idx].interest = interest;
+        self.slots[idx].admitted_pass = 0;
         if self.backend.add(fd, token, interest).is_err() {
             self.slots[idx].conn = None;
             self.free.push(idx as u32);
@@ -456,7 +467,7 @@ impl Reactor {
     }
 
     /// Deregister and drop a connection; the slot's generation bump
-    /// invalidates any in-flight completion for it.
+    /// invalidates any event still queued for it.
     fn close_conn(&mut self, idx: usize) {
         let token = self.token_of(idx);
         let Some(conn) = self.slots[idx].conn.take() else {
@@ -474,18 +485,13 @@ impl Reactor {
         drop(conn);
     }
 
-    /// Evict connections idle past the timeout. In-flight connections
-    /// are exempt (their clock is on the scoring pool, not the peer);
-    /// everything else — silent keep-alives, slowloris drips, stalled
-    /// response readers — is fair game.
+    /// Evict connections idle past the timeout: silent keep-alives,
+    /// slowloris drips, stalled response readers.
     fn evict_idle(&mut self, now: Instant) {
         for idx in 0..self.slots.len() {
             let Some(conn) = self.slots[idx].conn.as_ref() else {
                 continue;
             };
-            if conn.in_flight() {
-                continue;
-            }
             if now.duration_since(conn.last_activity()) > self.idle_timeout {
                 self.stats.timed_out.fetch_add(1, Ordering::Relaxed);
                 self.close_conn(idx);
@@ -494,7 +500,8 @@ impl Reactor {
     }
 
     /// Begin the graceful drain: stop accepting, close idle
-    /// connections, let in-flight work finish within the deadline.
+    /// connections, let responses still flushing finish within the
+    /// deadline.
     fn start_drain(&mut self, now: Instant) {
         self.draining = true;
         self.drain_deadline = now + self.drain_timeout;

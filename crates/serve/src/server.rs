@@ -2,30 +2,26 @@
 //!
 //! ## Threading model
 //!
-//! `N` **reactor threads** (the internal `reactor` module) share the
-//! accept load: each owns its own `SO_REUSEPORT` listener (the kernel
-//! load-balances incoming connections across them; where `REUSEPORT`
-//! is unavailable they accept-race clones of one listener), its own
-//! connection slab, its own wake pipe, and its own result-cache shard
-//! set. A connection is adopted by exactly one reactor and never
-//! migrates — no hot-path state crosses reactor boundaries. Each
-//! reactor feeds bytes into per-connection incremental parsers and
-//! writes responses over non-blocking I/O behind a pluggable engine
-//! (`--io`: batched io_uring or an epoll/`poll(2)` readiness poller;
-//! see [`crate::sys`] and [`IoBackend`]). Fully
-//! parsed requests are dispatched to a small **scoring pool** (the
-//! internal `pool` module) sized to the CPU count, whose threads only
-//! ever run compute. Total thread budget: `reactors + cores`,
-//! independent of the number of open connections — thousands of
-//! mostly-idle keep-alive clients cost slab slots, not threads. (The
-//! previous engine parked one blocking worker thread per keep-alive
-//! connection, capping concurrent connections at the pool size.)
+//! `N` **reactor threads** (the internal `reactor` module, one per core
+//! by default) share the accept load: each owns its own `SO_REUSEPORT`
+//! listener (the kernel load-balances incoming connections across
+//! them), its own connection slab, its own wake pipe, and its own
+//! result-cache shard set. A connection is adopted by exactly one
+//! reactor and never migrates — no hot-path state crosses reactor
+//! boundaries. Each reactor feeds bytes into per-connection incremental
+//! parsers, runs every parsed request through `route` on its own
+//! thread, and writes the response over non-blocking I/O behind a
+//! pluggable engine (`--io`: batched io_uring or an epoll readiness
+//! poller; see [`crate::sys`] and [`IoBackend`]). The thread budget is
+//! the reactor count, independent of the number of open connections —
+//! thousands of mostly-idle keep-alive clients cost slab slots, not
+//! threads. Only `/identify_batch` fans out further: its cache misses
+//! score on `score_batch`'s scoped threads while the reactor waits.
 //!
-//! Each reactor also runs **admission control**: at most
-//! [`ServeConfig::max_inflight`] requests per reactor may sit in the
-//! scoring pool at once; the excess is answered `503` directly on the
-//! reactor thread without ever crossing into the pool, so overload
-//! sheds load instead of queueing it.
+//! Each reactor also runs **admission control**: it serves at most
+//! [`ServeConfig::max_inflight`] connections per event-loop pass and
+//! answers the next ready connection's request `503`, so overload sheds
+//! load instead of stretching every admitted client's wait.
 //!
 //! ## Hot reload
 //!
@@ -42,7 +38,6 @@
 use crate::cache::{normalize_url, CachedScores, ResultCache};
 use crate::http::{Request, MAX_BODY_BYTES};
 use crate::metrics::Metrics;
-use crate::pool::{CompletionPort, ScoringPool};
 use crate::reactor::Reactor;
 use crate::sys::{WakePipe, Waker};
 use serde::Value;
@@ -50,7 +45,6 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -58,33 +52,14 @@ use urlid::{LanguageIdentifier, ModelFormat, ModelSource};
 use urlid_classifiers::LanguageClassifierSet;
 use urlid_features::ExtractScratch;
 use urlid_lexicon::ALL_LANGUAGES;
-use urlid_telemetry::{duration_micros, PromWriter, Stage};
+use urlid_telemetry::{duration_nanos, PromWriter, Stage};
 
 /// Content type of every JSON response.
 const CONTENT_TYPE_JSON: &str = "application/json";
 /// Content type of the Prometheus text exposition (format 0.0.4).
 const CONTENT_TYPE_PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
-
-/// How scoring-pool workers are wired to the reactors.
-///
-/// Both topologies were measured head-to-head (see the README's
-/// serving-architecture section): on few-core boxes they are within
-/// noise of each other, and `Shared` is work-conserving under a traffic
-/// imbalance, so it is the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PoolTopology {
-    /// One job channel feeds every worker; any worker serves any
-    /// reactor. The channel's internal mutex is the one cross-reactor
-    /// lock in the system, and it sits on the pool side of the dispatch
-    /// boundary — never on a reactor's accept/parse/write path.
-    #[default]
-    Shared,
-    /// Each reactor owns a private job channel and a dedicated worker
-    /// subset (at least one worker each). Zero cross-reactor contention
-    /// anywhere, but an overloaded reactor cannot borrow a sibling's
-    /// idle workers.
-    Partitioned,
-}
+/// Prometheus exposition factor for the nanosecond histograms.
+const SECONDS_PER_NANO: f64 = 1e-9;
 
 /// Which I/O engine the reactors multiplex through (`urlid serve
 /// --io`). The engines sit behind one trait ([`crate::sys::Backend`])
@@ -93,10 +68,9 @@ pub enum PoolTopology {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoBackend {
     /// Probe io_uring at startup and use it when the kernel allows;
-    /// otherwise fall back to the readiness poller (epoll on Linux,
-    /// `poll(2)` elsewhere) and log why. `URLID_NO_URING` in the
-    /// environment forces the fallback, like `URLID_NO_MMAP` does for
-    /// the model mapping.
+    /// otherwise fall back to the epoll readiness poller and log why.
+    /// `URLID_NO_URING` in the environment forces the fallback, like
+    /// `URLID_NO_MMAP` does for the model mapping.
     #[default]
     Auto,
     /// Require io_uring; refuse to start when the probe fails.
@@ -119,14 +93,12 @@ impl IoBackend {
     }
 }
 
-/// Default reactor count: one per core, capped at four. Past four
-/// reactors the accept/parse/write load is spread thinner than the
-/// scoring work that actually saturates the cores.
+/// Default reactor count: one per core. Reactors score the requests
+/// they parse, so this is what puts every core to work.
 pub fn default_reactors() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-        .min(4)
 }
 
 /// Server configuration (everything has serving-friendly defaults).
@@ -135,18 +107,13 @@ pub struct ServeConfig {
     /// Bind address; port 0 picks a free port (tests, loadgen).
     pub addr: String,
     /// Reactor threads, each owning its own `SO_REUSEPORT` listener and
-    /// connection slab; 0 means [`default_reactors`] (`min(cores, 4)`).
+    /// connection slab; 0 means [`default_reactors`] (one per core).
     pub reactors: usize,
-    /// Scoring-pool threads; 0 means one per available core. These
-    /// threads are pure compute — connections no longer pin threads, so
-    /// there is nothing to over-provision.
-    pub scoring_threads: usize,
-    /// Per-reactor admission-control limit: at most this many requests
-    /// from one reactor may be in the scoring pool at once; the excess
-    /// is answered `503` on the reactor thread. `0` disables the limit.
+    /// Per-reactor admission-control budget: one reactor serves at most
+    /// this many connections per event-loop pass, and the next ready
+    /// connection's request is answered `503`. Pipelined follow-ups on
+    /// an admitted connection are never shed. `0` disables the limit.
     pub max_inflight: usize,
-    /// Scoring-pool topology (see [`PoolTopology`]).
-    pub pool: PoolTopology,
     /// Which I/O engine the reactors use (see [`IoBackend`]).
     pub io: IoBackend,
     /// Number of cache shards (mutex stripes) *per shard set*; each
@@ -154,15 +121,14 @@ pub struct ServeConfig {
     pub cache_shards: usize,
     /// A connection with no bytes moving for this long is evicted by
     /// the reactor — mid-request (slowloris) and between requests
-    /// alike. Connections whose request is in the scoring pool are
-    /// exempt. An eviction costs a slab slot, never a thread, so this
+    /// alike. An eviction costs a slab slot, never a thread, so this
     /// can be generous.
     pub idle_timeout: Duration,
     /// Maximum accepted `Content-Length`; larger declarations are
     /// answered with `413` before any body byte is buffered.
     pub max_body_bytes: usize,
-    /// How long a graceful shutdown waits for in-flight requests to
-    /// finish and flush before force-closing what remains.
+    /// How long a graceful shutdown waits for responses still flushing
+    /// before force-closing what remains.
     pub drain_timeout: Duration,
     /// Stage-span recording (per-stage histograms, the trace ring).
     /// Counters and the end-to-end latency histogram stay on even when
@@ -185,9 +151,7 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:0".to_owned(),
             reactors: 0,
-            scoring_threads: 0,
             max_inflight: 32,
-            pool: PoolTopology::Shared,
             io: IoBackend::Auto,
             cache_shards: ResultCache::DEFAULT_SHARDS,
             idle_timeout: Duration::from_secs(5),
@@ -202,22 +166,21 @@ impl Default for ServeConfig {
 
 /// Per-request trace context threaded through [`route`]: which trace
 /// stripe to record into, the request id, and the stage durations the
-/// handlers measured (the scoring-pool worker reads these back for the
+/// handlers measured (the reactor reads these back for the
 /// slow-request log line).
 pub(crate) struct RequestTrace {
     /// Request id assigned at parse completion.
     pub request_id: u64,
-    /// Trace-ring stripe of the recording thread (`1 + worker_index`).
+    /// Trace-ring stripe of the recording reactor.
     pub stripe: usize,
-    /// Result-cache shard set of the dispatching reactor (set `0` for
-    /// anything that scores outside a reactor context).
+    /// Result-cache shard set of the serving reactor.
     pub cache_set: usize,
-    /// Result-cache probe duration in microseconds.
-    pub cache_us: u64,
-    /// Feature-extraction duration in microseconds (cache miss only).
-    pub extract_us: u64,
-    /// Scoring duration in microseconds (cache miss only).
-    pub score_us: u64,
+    /// Result-cache probe duration in nanoseconds.
+    pub cache_ns: u64,
+    /// Feature-extraction duration in nanoseconds (cache miss only).
+    pub extract_ns: u64,
+    /// Scoring duration in nanoseconds (cache miss only).
+    pub score_ns: u64,
 }
 
 impl RequestTrace {
@@ -226,9 +189,9 @@ impl RequestTrace {
             request_id,
             stripe,
             cache_set: 0,
-            cache_us: 0,
-            extract_us: 0,
-            score_us: 0,
+            cache_ns: 0,
+            extract_ns: 0,
+            score_ns: 0,
         }
     }
 }
@@ -287,7 +250,7 @@ impl ServerState {
     /// Read the model slot, recovering from lock poisoning: the slot
     /// only ever holds fully swapped `Arc`s (the write section is three
     /// assignments), so a panic elsewhere must not cascade into every
-    /// scoring worker that reads the model afterwards.
+    /// reactor that reads the model afterwards.
     fn read_slot(&self) -> std::sync::RwLockReadGuard<'_, ModelSlot> {
         self.slot
             .read()
@@ -480,7 +443,7 @@ impl ServerState {
     }
 
     /// Score one normalised URL, through the cache. Cache misses score
-    /// through the calling worker's reusable [`ExtractScratch`], so the
+    /// through the calling reactor's reusable [`ExtractScratch`], so the
     /// extract-and-score path allocates nothing in steady state — the
     /// stage spans recorded along the way keep that property (atomic
     /// histogram bumps plus a copy into a pre-allocated trace slot).
@@ -493,9 +456,9 @@ impl ServerState {
         let (identifier, epoch) = self.model();
         let cache_started = Instant::now();
         let hit = self.cache.get_in(trace.cache_set, key, epoch);
-        trace.cache_us = duration_micros(cache_started.elapsed());
+        trace.cache_ns = duration_nanos(cache_started.elapsed());
         self.metrics
-            .record_stage_end(trace.stripe, trace.request_id, Stage::Cache, trace.cache_us);
+            .record_stage_end(trace.stripe, trace.request_id, Stage::Cache, trace.cache_ns);
         if let Some(scores) = hit {
             return (scores, true);
         }
@@ -507,19 +470,19 @@ impl ServerState {
             let (scores, split) = identifier
                 .classifier_set()
                 .score_all_with_split(key, scratch);
-            trace.extract_us = split.extract_micros;
-            trace.score_us = split.score_micros;
+            trace.extract_ns = split.extract_nanos;
+            trace.score_ns = split.score_nanos;
             self.metrics.record_stage_end(
                 trace.stripe,
                 trace.request_id,
                 Stage::Extract,
-                split.extract_micros,
+                split.extract_nanos,
             );
             self.metrics.record_stage_end(
                 trace.stripe,
                 trace.request_id,
                 Stage::Score,
-                split.score_micros,
+                split.score_nanos,
             );
             scores
         } else {
@@ -550,21 +513,21 @@ impl ServerState {
             })
             .collect();
         let miss_indices: Vec<usize> = (0..keys.len()).filter(|&i| out[i].is_none()).collect();
-        trace.cache_us = duration_micros(cache_started.elapsed());
+        trace.cache_ns = duration_nanos(cache_started.elapsed());
         self.metrics
-            .record_stage_end(trace.stripe, trace.request_id, Stage::Cache, trace.cache_us);
+            .record_stage_end(trace.stripe, trace.request_id, Stage::Cache, trace.cache_ns);
         if !miss_indices.is_empty() {
             let miss_urls: Vec<&str> = miss_indices.iter().map(|&i| keys[i].as_str()).collect();
             // The existing scoped-thread batch path: one extraction per
             // URL, fanned out over all cores.
             let score_started = Instant::now();
             let scored = identifier.classifier_set().score_batch(&miss_urls);
-            trace.score_us = duration_micros(score_started.elapsed());
+            trace.score_ns = duration_nanos(score_started.elapsed());
             self.metrics.record_stage_end(
                 trace.stripe,
                 trace.request_id,
                 Stage::Score,
-                trace.score_us,
+                trace.score_ns,
             );
             for (&i, scores) in miss_indices.iter().zip(scored) {
                 self.cache
@@ -895,7 +858,7 @@ pub fn prometheus_text(state: &ServerState) -> String {
     );
     w.gauge(
         "urlid_connections_idle",
-        "Open connections with no request in the scoring pool.",
+        "Open connections with no request being handled.",
         open.saturating_sub(busy) as f64,
     );
     w.counter(
@@ -952,14 +915,12 @@ pub fn prometheus_text(state: &ServerState) -> String {
             r.timed_out.load(Ordering::Relaxed) as f64,
         );
     }
-    let scoring = load(&m.scoring_threads);
     w.family("urlid_threads", "gauge", "Server threads, by role.");
     w.sample(
         "urlid_threads",
         &[("role", "reactor")],
         m.reactor_count() as f64,
     );
-    w.sample("urlid_threads", &[("role", "scoring")], scoring as f64);
 
     w.counter(
         "urlid_cache_hits_total",
@@ -1026,7 +987,7 @@ pub fn prometheus_text(state: &ServerState) -> String {
         "urlid_request_latency_seconds",
         &[],
         &m.latency.snapshot(),
-        1e-6,
+        SECONDS_PER_NANO,
     );
     w.family(
         "urlid_stage_duration_seconds",
@@ -1038,7 +999,7 @@ pub fn prometheus_text(state: &ServerState) -> String {
             "urlid_stage_duration_seconds",
             &[("stage", stage.name())],
             &m.stage_snapshot(stage),
-            1e-6,
+            SECONDS_PER_NANO,
         );
     }
     w.finish()
@@ -1046,7 +1007,8 @@ pub fn prometheus_text(state: &ServerState) -> String {
 
 /// `GET /admin/trace`: the last buffered stage spans, oldest first,
 /// with request-id correlation — enough to reconstruct where any
-/// recent request spent its time.
+/// recent request spent its time. Spans are recorded in nanoseconds
+/// and reported in whole microseconds.
 fn handle_trace(state: &ServerState) -> (u16, String) {
     let spans = state.metrics.trace_snapshot();
     let items: Vec<Value> = spans
@@ -1055,8 +1017,8 @@ fn handle_trace(state: &ServerState) -> (u16, String) {
             let mut o = Value::object();
             o.insert("request_id", Value::Uint(s.request_id));
             o.insert("stage", Value::Str(s.stage.name().to_owned()));
-            o.insert("start_us", Value::Uint(s.start_micros));
-            o.insert("duration_us", Value::Uint(s.duration_micros));
+            o.insert("start_us", Value::Uint(s.start_nanos / 1000));
+            o.insert("duration_us", Value::Uint(s.duration_nanos / 1000));
             o
         })
         .collect();
@@ -1115,10 +1077,10 @@ fn handle_reload(state: &ServerState, req: &Request) -> (u16, String) {
     }
 }
 
-/// Route one request to its handler (runs on a scoring-pool thread,
-/// which owns `scratch` — one reusable extraction buffer per worker —
-/// and `trace` — the stage-span context for this request). Returns
-/// status, content type, and body.
+/// Route one request to its handler (runs on the reactor thread that
+/// parsed it, which owns `scratch` — one reusable extraction buffer per
+/// reactor — and `trace` — the stage-span context for this request).
+/// Returns status, content type, and body.
 pub(crate) fn route(
     state: &ServerState,
     req: &Request,
@@ -1172,7 +1134,6 @@ pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     wakers: Vec<Arc<Waker>>,
     reactors: Vec<JoinHandle<()>>,
-    pool: ScoringPool,
 }
 
 impl ServerHandle {
@@ -1195,66 +1156,39 @@ impl ServerHandle {
         for reactor in self.reactors.drain(..) {
             let _ = reactor.join();
         }
-        self.pool.join();
         self.state.metrics().reactors_failed.load(Ordering::Relaxed) as usize
     }
 
-    /// Graceful shutdown: stop accepting, drain in-flight requests
-    /// (bounded by the configured drain timeout), stop the pool, and
-    /// return. Every reactor is woken through its self-pipe — no
-    /// throwaway connection involved.
+    /// Graceful shutdown: stop accepting, let responses still flushing
+    /// drain (bounded by the configured drain timeout), and return.
+    /// Every reactor is woken through its self-pipe — no throwaway
+    /// connection involved.
     pub fn shutdown(self) {
         self.shutdown.store(true, Ordering::Relaxed);
         for waker in &self.wakers {
             waker.wake();
         }
-        // The reactors exiting drop the job senders; the workers drain
-        // their queues and exit.
         let _ = self.join();
     }
 }
 
-/// Bind one listener per reactor. With more than one reactor the
-/// listeners share the port through `SO_REUSEPORT` so the kernel
-/// load-balances accepts; where that fails (non-Linux, old kernels),
-/// fall back to accept-racing `try_clone`s of a single listener — the
-/// losers of each race see `WouldBlock` and move on. Returns the
-/// listeners and whether the reuseport path was taken.
-fn bind_listeners(addr: &str, reactors: usize) -> io::Result<(Vec<TcpListener>, bool)> {
-    if reactors <= 1 {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        return Ok((vec![listener], false));
+/// Bind one `SO_REUSEPORT` listener per reactor on one port, so the
+/// kernel load-balances accepts across them.
+fn bind_listeners(addr: &str, reactors: usize) -> io::Result<Vec<TcpListener>> {
+    use std::net::ToSocketAddrs;
+    let resolved = addr
+        .to_socket_addrs()?
+        .next()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"))?;
+    let first = crate::sys::bind_reuseport(resolved)?;
+    // Port 0 resolves on the first bind; the siblings must join the
+    // *resolved* port or each would get its own ephemeral one.
+    let actual = first.local_addr()?;
+    let mut listeners = vec![first];
+    for _ in 1..reactors {
+        listeners.push(crate::sys::bind_reuseport(actual)?);
     }
-    let reuseport = (|| -> io::Result<Vec<TcpListener>> {
-        use std::net::ToSocketAddrs;
-        let resolved = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"))?;
-        let first = crate::sys::bind_reuseport(resolved)?;
-        // Port 0 resolves on the first bind; the siblings must join the
-        // *resolved* port or each would get its own ephemeral one.
-        let actual = first.local_addr()?;
-        let mut listeners = vec![first];
-        for _ in 1..reactors {
-            listeners.push(crate::sys::bind_reuseport(actual)?);
-        }
-        Ok(listeners)
-    })();
-    match reuseport {
-        Ok(listeners) => Ok((listeners, true)),
-        Err(_) => {
-            let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
-            let mut listeners = Vec::with_capacity(reactors);
-            for _ in 1..reactors {
-                listeners.push(listener.try_clone()?);
-            }
-            listeners.push(listener);
-            Ok((listeners, false))
-        }
-    }
+    Ok(listeners)
 }
 
 /// Resolve the configured [`IoBackend`] to the engine name that will
@@ -1291,37 +1225,29 @@ fn resolve_io(requested: IoBackend) -> io::Result<&'static str> {
 /// in-flight operations), and a batch bigger than that re-enters once
 /// more per 256 SQEs — already far past the per-iteration event count.
 fn make_backend(resolved: &'static str) -> io::Result<Box<dyn crate::sys::Backend>> {
-    #[cfg(target_os = "linux")]
     if resolved == "uring" {
         return Ok(Box::new(crate::sys::uring::UringEngine::new(256)?));
     }
-    let _ = resolved;
     Ok(Box::new(crate::sys::Poller::new()?))
 }
 
 /// Start the server: bind the per-reactor listeners, spawn the reactor
-/// threads and the scoring pool, and return immediately with a
-/// [`ServerHandle`].
+/// threads, and return immediately with a [`ServerHandle`].
 ///
 /// A reactor that panics does not strand its siblings: the panic is
 /// caught at the thread boundary, `reactors_failed` is bumped, and the
 /// shared shutdown flag is raised so every surviving reactor drains
 /// gracefully. [`ServerHandle::join`] reports the failure count.
+/// (A panicking request handler never gets that far: the reactor
+/// answers it `500` and keeps serving.)
 pub fn spawn(config: &ServeConfig, state: Arc<ServerState>) -> io::Result<ServerHandle> {
     let reactors = if config.reactors == 0 {
         default_reactors()
     } else {
         config.reactors
     };
-    let (listeners, reuseport) = bind_listeners(&config.addr, reactors)?;
+    let listeners = bind_listeners(&config.addr, reactors)?;
     let addr = listeners[0].local_addr()?;
-    let scoring_threads = if config.scoring_threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        config.scoring_threads
-    };
     // Resolve the I/O engine once, before any thread spawns: a forced
     // `--io uring` on a denied kernel must fail the boot, and `auto`
     // must log its fallback exactly once.
@@ -1329,7 +1255,6 @@ pub fn spawn(config: &ServeConfig, state: Arc<ServerState>) -> io::Result<Server
     let metrics = state.metrics();
     metrics.set_telemetry_enabled(config.telemetry);
     metrics.set_io_backend(io_backend);
-    metrics.reuseport.store(reuseport, Ordering::Relaxed);
     metrics
         .max_inflight
         .store(config.max_inflight as u64, Ordering::Relaxed);
@@ -1338,74 +1263,26 @@ pub fn spawn(config: &ServeConfig, state: Arc<ServerState>) -> io::Result<Server
     metrics.slow.configure(config.slow_request_micros, 250_000);
     metrics.reset_reactors();
 
-    // Per-reactor plumbing: wake pipe, completion channel, pending
-    // counter, stats handle. The ports vector hands the pool one
-    // completion route per reactor.
-    let mut plumbing = Vec::with_capacity(reactors);
-    let mut wakers = Vec::with_capacity(reactors);
-    let mut ports = Vec::with_capacity(reactors);
-    for _ in 0..reactors {
-        let (wake_pipe, waker) = WakePipe::new()?;
-        let waker = Arc::new(waker);
-        let (completion_tx, completion_rx) = mpsc::channel();
-        let pending = Arc::new(std::sync::atomic::AtomicI64::new(0));
-        ports.push(CompletionPort {
-            completions: completion_tx,
-            pending: Arc::clone(&pending),
-            waker: Arc::clone(&waker),
-        });
-        plumbing.push((wake_pipe, completion_rx, pending));
-        wakers.push(waker);
-    }
-    let (mut pool, job_txs) = ScoringPool::spawn(config.pool, scoring_threads, &state, ports)?;
-    metrics
-        .scoring_threads
-        .store(pool.threads() as u64, Ordering::Relaxed);
-
     let shutdown = Arc::new(AtomicBool::new(false));
-    // Built before any reactor thread starts so a panicking reactor can
-    // wake every sibling, including ones spawned after it.
-    let all_wakers: Arc<Vec<Arc<Waker>>> = Arc::new(wakers.clone());
-
+    let mut wakers = Vec::with_capacity(reactors);
     let mut built = Vec::with_capacity(reactors);
-    for (index, (listener, (wake_pipe, completion_rx, pending))) in
-        listeners.into_iter().zip(plumbing).enumerate()
-    {
-        let stats = metrics.register_reactor();
-        let backend = match make_backend(io_backend) {
-            Ok(backend) => backend,
-            Err(e) => {
-                drop(built);
-                drop(job_txs);
-                pool.join();
-                return Err(e);
-            }
-        };
-        let reactor = Reactor::new(
+    for (index, listener) in listeners.into_iter().enumerate() {
+        let (wake_pipe, waker) = WakePipe::new()?;
+        wakers.push(Arc::new(waker));
+        let backend = make_backend(io_backend)?;
+        built.push(Reactor::new(
             index,
             backend,
             listener,
             wake_pipe,
-            job_txs[index].clone(),
-            completion_rx,
-            pending,
-            stats,
             Arc::clone(&state),
             Arc::clone(&shutdown),
             config,
-        );
-        match reactor {
-            Ok(reactor) => built.push(reactor),
-            Err(e) => {
-                // No reactor thread is running yet: dropping the job
-                // senders is enough to let the workers drain out.
-                drop(built);
-                drop(job_txs);
-                pool.join();
-                return Err(e);
-            }
-        }
+        )?);
     }
+    // Built before any reactor thread starts so a panicking reactor can
+    // wake every sibling, including ones spawned after it.
+    let all_wakers: Arc<Vec<Arc<Waker>>> = Arc::new(wakers.clone());
 
     let mut reactor_threads = Vec::with_capacity(reactors);
     for (index, reactor) in built.into_iter().enumerate() {
@@ -1442,7 +1319,6 @@ pub fn spawn(config: &ServeConfig, state: Arc<ServerState>) -> io::Result<Server
                 for handle in reactor_threads {
                     let _ = handle.join();
                 }
-                pool.join();
                 return Err(e);
             }
         }
@@ -1454,6 +1330,5 @@ pub fn spawn(config: &ServeConfig, state: Arc<ServerState>) -> io::Result<Server
         shutdown,
         wakers,
         reactors: reactor_threads,
-        pool,
     })
 }

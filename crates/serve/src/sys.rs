@@ -3,28 +3,23 @@
 //! The build container has no crates.io access (no `mio`, no `libc`
 //! crate), so the handful of C symbols the reactor needs are declared
 //! by hand; `std` already links libc on every unix target, so the
-//! symbols resolve at link time. Three engines sit behind the same
-//! [`Backend`] trait:
+//! symbols resolve at link time. The crate is Linux-only, and two
+//! engines sit behind the same [`Backend`] trait:
 //!
-//! * **Linux**: `epoll` (`epoll_create1` / `epoll_ctl` / `epoll_wait`),
+//! * `epoll` (`epoll_create1` / `epoll_ctl` / `epoll_wait`),
 //!   level-triggered — O(ready) wakeups regardless of how many idle
 //!   connections are registered; data-plane reads and writes are plain
 //!   syscalls on the ready socket;
-//! * **Linux, kernel ≥ 5.11**: [`uring`] — `io_uring` submission/
-//!   completion rings (hand-rolled `io_uring_setup`/`io_uring_enter`,
+//! * [`uring`] (kernel ≥ 5.11) — `io_uring` submission/completion
+//!   rings (hand-rolled `io_uring_setup`/`io_uring_enter`,
 //!   mmap'd rings). The data plane itself rides the ring: multishot
 //!   `accept`, re-armed `recv` SQEs and staged `send` SQEs are batched
 //!   into **one** `io_uring_enter` per event-loop iteration instead of
-//!   one syscall per connection event;
-//! * **other unix**: POSIX `poll(2)` over the registered set — O(n) per
-//!   wakeup but dependency-free, keeping the crate building everywhere.
+//!   one syscall per connection event.
 //!
-//! Cross-thread wakeups use a self-pipe ([`WakePipe`] / [`Waker`]): the
+//! Shutdown wakeups use a self-pipe ([`WakePipe`] / [`Waker`]): the
 //! read end is registered in the backend like any other fd, and any
-//! thread can make the blocked reactor return by writing one byte —
-//! this replaces the old "connect a throwaway `TcpStream` to unblock
-//! the acceptor" shutdown hack, and is how scoring-pool workers hand
-//! finished responses back to the reactor.
+//! thread can make the blocked reactor return by writing one byte.
 
 #![allow(unsafe_code)]
 
@@ -83,19 +78,18 @@ pub const WAKE: u64 = u64::MAX - 1;
 
 /// One I/O engine a reactor can drive its connections through.
 ///
-/// The readiness engines ([`Poller`]: epoll on Linux, `poll(2)`
-/// elsewhere) report which fds are ready and let the caller do the
-/// actual `read`/`writev` syscalls; the completion engine
-/// ([`uring::UringEngine`]) performs the I/O inside the kernel's
-/// submission/completion rings and stages the results, so `read` and
-/// `write_vectored` are userspace copies against engine-owned buffers.
+/// The readiness engine ([`Poller`], epoll) reports which fds are
+/// ready and lets the caller do the actual `read`/`writev` syscalls;
+/// the completion engine ([`uring::UringEngine`]) performs the I/O
+/// inside the kernel's submission/completion rings and stages the
+/// results, so `read` and `write_vectored` are userspace copies
+/// against engine-owned buffers.
 /// Either way the reactor sees the same level-triggered-flavoured
 /// surface: [`Event`]s keyed by token, `WouldBlock` when an operation
 /// cannot progress yet, and a later event when it can.
 pub trait Backend: Send {
-    /// Which engine this is: `"epoll"`, `"uring"` or `"poll"` (the
-    /// `/metrics` `reactors.io_backend` value and Prometheus `io`
-    /// label).
+    /// Which engine this is: `"epoll"` or `"uring"` (the `/metrics`
+    /// `reactors.io_backend` value and Prometheus `io` label).
     fn name(&self) -> &'static str;
 
     /// Register `fd` under `token`. The reserved [`LISTENER`] and
@@ -195,24 +189,7 @@ impl Backend for Poller {
     }
 }
 
-#[cfg(target_os = "linux")]
 pub mod uring;
-
-/// Non-Linux stub: io_uring is a Linux interface; `probe` always
-/// reports why so `--io auto` can fall back with a reason.
-#[cfg(not(target_os = "linux"))]
-pub mod uring {
-    /// Whether the running kernel can drive the uring engine (never,
-    /// off Linux).
-    pub fn supported() -> bool {
-        false
-    }
-
-    /// Why the uring engine is unavailable here.
-    pub fn probe() -> Result<(), String> {
-        Err("io_uring is linux-only".to_string())
-    }
-}
 
 fn last_os_error() -> io::Error {
     io::Error::last_os_error()
@@ -229,11 +206,10 @@ fn close_fd(fd: RawFd) {
 }
 
 // ---------------------------------------------------------------------
-// Linux backend: epoll
+// Readiness backend: epoll
 // ---------------------------------------------------------------------
 
-#[cfg(target_os = "linux")]
-mod backend {
+mod epoll {
     use super::*;
 
     // x86_64 is the one ABI where the kernel declares epoll_event
@@ -385,139 +361,7 @@ mod backend {
     }
 }
 
-// ---------------------------------------------------------------------
-// Portable unix fallback: poll(2)
-// ---------------------------------------------------------------------
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod backend {
-    use super::*;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: i16,
-        revents: i16,
-    }
-
-    // `nfds_t` is `unsigned long` on linux/glibc and `unsigned int` on
-    // the BSD family; this module only compiles on the latter.
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: std::os::raw::c_uint, timeout: c_int) -> c_int;
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-    const POLLNVAL: i16 = 0x020;
-
-    /// Readiness multiplexer over `poll(2)`: the registered set lives
-    /// in userspace and the whole array is handed to the kernel each
-    /// wait — O(n) per wakeup, fine as a portability fallback.
-    pub struct Poller {
-        fds: Vec<PollFd>,
-        tokens: Vec<u64>,
-    }
-
-    impl Poller {
-        /// Engine name for `/metrics` (`reactors.io_backend`).
-        pub const NAME: &'static str = "poll";
-
-        /// An empty registered set.
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                fds: Vec::new(),
-                tokens: Vec::new(),
-            })
-        }
-
-        fn events_of(interest: Interest) -> i16 {
-            let mut events = 0i16;
-            if interest.read {
-                events |= POLLIN;
-            }
-            if interest.write {
-                events |= POLLOUT;
-            }
-            events
-        }
-
-        /// Register `fd` under `token`.
-        pub fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.fds.push(PollFd {
-                fd,
-                events: Self::events_of(interest),
-                revents: 0,
-            });
-            self.tokens.push(token);
-            Ok(())
-        }
-
-        /// Change the interest set of a registered fd.
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            for (slot, t) in self.fds.iter_mut().zip(&mut self.tokens) {
-                if slot.fd == fd {
-                    slot.events = Self::events_of(interest);
-                    *t = token;
-                    return Ok(());
-                }
-            }
-            Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-        }
-
-        /// Deregister a fd.
-        pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-            if let Some(i) = self.fds.iter().position(|slot| slot.fd == fd) {
-                self.fds.swap_remove(i);
-                self.tokens.swap_remove(i);
-                return Ok(());
-            }
-            Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-        }
-
-        /// Block until readiness or timeout; see the epoll backend.
-        pub fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            let timeout_ms: c_int = match timeout {
-                None => -1,
-                Some(d) => d.as_millis().min(c_int::MAX as u128) as c_int,
-            };
-            let n = unsafe {
-                poll(
-                    self.fds.as_mut_ptr(),
-                    self.fds.len() as std::os::raw::c_uint,
-                    timeout_ms,
-                )
-            };
-            if n < 0 {
-                let err = last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(err);
-            }
-            for (slot, &token) in self.fds.iter().zip(&self.tokens) {
-                let bits = slot.revents;
-                if bits == 0 {
-                    continue;
-                }
-                events.push(Event {
-                    token,
-                    readable: bits & (POLLIN | POLLERR | POLLHUP | POLLNVAL) != 0,
-                    writable: bits & (POLLOUT | POLLERR | POLLHUP | POLLNVAL) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-}
-
-pub use backend::Poller;
+pub use epoll::Poller;
 
 // ---------------------------------------------------------------------
 // SO_REUSEPORT listener creation
@@ -531,7 +375,6 @@ pub use backend::Poller;
 /// `bind()`, so the whole sequence is hand-rolled here. Binding to
 /// port 0 works: the first listener gets an ephemeral port and the
 /// caller re-binds siblings to the resolved address.
-#[cfg(target_os = "linux")]
 pub fn bind_reuseport(addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
     use std::os::fd::FromRawFd;
 
@@ -648,18 +491,6 @@ pub fn bind_reuseport(addr: std::net::SocketAddr) -> io::Result<std::net::TcpLis
     Ok(unsafe { std::net::TcpListener::from_raw_fd(fd) })
 }
 
-/// Non-Linux stub: `SO_REUSEPORT` load-balancing semantics are
-/// Linux-specific (the BSDs hand the port to the last binder or need
-/// `SO_REUSEPORT_LB`), so the server falls back to one shared listener
-/// cloned across reactors.
-#[cfg(not(target_os = "linux"))]
-pub fn bind_reuseport(_addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "SO_REUSEPORT sharding is only wired up on linux",
-    ))
-}
-
 // ---------------------------------------------------------------------
 // Self-pipe waker
 // ---------------------------------------------------------------------
@@ -673,10 +504,7 @@ extern "C" {
 
 const F_GETFL: c_int = 3;
 const F_SETFL: c_int = 4;
-#[cfg(target_os = "linux")]
 const O_NONBLOCK: c_int = 0o4000;
-#[cfg(not(target_os = "linux"))]
-const O_NONBLOCK: c_int = 0x0004;
 
 fn set_nonblocking(fd: RawFd) -> io::Result<()> {
     let flags = unsafe { fcntl(fd, F_GETFL) };
@@ -690,9 +518,9 @@ fn set_nonblocking(fd: RawFd) -> io::Result<()> {
 }
 
 /// The write end of the self-pipe. Cloned into an `Arc` and handed to
-/// every thread that needs to interrupt the reactor's `wait` — pool
-/// workers on request completion, the server handle on shutdown. A
-/// one-byte write is async-signal-safe, atomic, and cheap; a full pipe
+/// every thread that needs to interrupt the reactor's `wait` — the
+/// server handle on shutdown, a panicking sibling reactor. A one-byte
+/// write is async-signal-safe, atomic, and cheap; a full pipe
 /// (`EAGAIN`) means a wakeup is already pending, which is exactly as
 /// good as another one.
 pub struct Waker {
@@ -871,7 +699,6 @@ mod tests {
         assert!(events.is_empty(), "removed fd no longer reports");
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn reuseport_listeners_share_a_port_and_both_accept() {
         use std::io::Read as _;

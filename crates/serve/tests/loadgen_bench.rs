@@ -46,12 +46,11 @@ fn loadgen_completes_and_emits_bench_json() {
     assert!(report.latency.p50_ms <= report.latency.p99_ms);
     assert!(report.latency.p99_ms <= report.latency.p999_ms);
     assert!(report.latency.p999_ms <= report.latency.max_ms);
-    // The server's whole thread budget is the reactor set plus a
-    // CPU-count-sized scoring pool — the report certifies it.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    // The server's whole thread budget is the reactor set, one per
+    // core — the report certifies it.
     let reactors = urlid_serve::default_reactors() as u64;
     assert_eq!(report.reactors, reactors);
-    assert_eq!(report.server_threads, reactors + cores);
+    assert_eq!(report.server_threads, reactors);
     // 600 requests over 50 unique URLs: the cache must be doing real work.
     assert!(
         report.cache.hit_rate > 0.5,
@@ -95,7 +94,7 @@ fn loadgen_completes_and_emits_bench_json() {
     // (the default config auto-probes, so either engine is legitimate).
     match parsed.get("io_backend") {
         Some(Value::Str(io)) => assert!(
-            matches!(io.as_str(), "uring" | "epoll" | "poll"),
+            matches!(io.as_str(), "uring" | "epoll"),
             "unexpected io_backend {io:?}"
         ),
         other => panic!("io_backend must be a string, got {other:?}"),

@@ -1,16 +1,21 @@
 //! Connection-engine behaviors only a real socket can prove: slow
 //! clients that must not hold threads, pipelining, idle eviction,
 //! many-idle-connection multiplexing, oversized-body rejection before
-//! allocation, graceful shutdown draining in-flight work, and the
+//! allocation, graceful shutdown draining in-flight work, handler
+//! panics answered without losing the connection, and the
 //! multi-reactor guarantees (connection affinity, reload visibility
 //! across cache shard sets, sibling survival of a reactor panic).
 
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
+use urlid::features::WordFeatureExtractor;
 use urlid::prelude::*;
+use urlid_classifiers::VectorClassifier;
+use urlid_features::SparseVector;
 use urlid_serve::http;
 use urlid_serve::server::{spawn, IoBackend, ServeConfig, ServerHandle, ServerState};
 use urlid_serve::ResultCache;
@@ -192,14 +197,22 @@ fn pipelined_requests_answer_in_order_on(io: IoBackend) {
 /// can carry — still answers every request, in order, on one
 /// connection. The client deliberately delays its reads so responses
 /// pile up in the connection's segment queue and drain through the
-/// `writev` batching path.
+/// `writev` batching path. With an admission budget of one connection
+/// per event-loop pass the burst must still answer in full: pipelined
+/// follow-ups on an admitted connection are never shed.
 #[test]
 fn large_pipelined_burst_drains_through_vectored_writes() {
-    for_each_io(large_pipelined_burst_drains_on);
+    for_each_io(|io| {
+        large_pipelined_burst_drains_on(io_config(io));
+        large_pipelined_burst_drains_on(ServeConfig {
+            max_inflight: 1,
+            ..io_config(io)
+        });
+    });
 }
 
-fn large_pipelined_burst_drains_on(io: IoBackend) {
-    let server = start_server(&io_config(io));
+fn large_pipelined_burst_drains_on(config: ServeConfig) {
+    let server = start_server(&config);
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     let count = 64;
     let mut wire = String::new();
@@ -359,7 +372,7 @@ fn oversized_content_length_is_rejected_on(io: IoBackend) {
 /// A client that sends its request and immediately half-closes the
 /// write side (send-then-`shutdown(WR)`, a common one-shot pattern)
 /// still gets its response — and the EOF-readable socket must not
-/// wedge the reactor while the request sits in the scoring pool.
+/// wedge the reactor while the response is on its way.
 #[test]
 fn half_closed_client_still_receives_its_response() {
     for_each_io(half_closed_client_still_receives_on);
@@ -414,7 +427,7 @@ fn malformed_request_line_gets_400_on(io: IoBackend) {
     server.shutdown();
 }
 
-/// Graceful shutdown: a request already in the scoring pool finishes
+/// Graceful shutdown: a request the reactor is already scoring finishes
 /// and flushes before the server comes down; idle connections are
 /// closed; the listener stops accepting.
 #[test]
@@ -452,7 +465,7 @@ fn shutdown_drains_in_flight_requests_on(io: IoBackend) {
     assert_eq!(status, 200);
 
     // A long-running batch request: hundreds of unique URLs keep the
-    // scoring pool busy while shutdown begins.
+    // reactor scoring while shutdown begins.
     let stream = TcpStream::connect(addr).expect("connect");
     let mut writer = stream.try_clone().expect("clone");
     let mut reader = BufReader::new(stream);
@@ -551,6 +564,90 @@ fn connections_stay_pinned_on(io: IoBackend) {
     assert_eq!(per_reactor.len(), 2);
     let summed: u64 = per_reactor.iter().map(|r| uint_of(r, "accepted")).sum();
     assert_eq!(summed, uint_of(connections, "accepted"));
+    server.shutdown();
+}
+
+/// Word features that panic on one marker URL: a stand-in for any bug
+/// in a request handler.
+struct PanicOnMarker(WordFeatureExtractor);
+
+impl FeatureExtractor for PanicOnMarker {
+    fn fit(&mut self, training: &[LabeledUrl]) {
+        self.0.fit(training);
+    }
+
+    fn transform(&self, url: &str) -> SparseVector {
+        assert!(!url.contains("panik"), "injected handler panic on {url}");
+        self.0.transform(url)
+    }
+
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+
+    fn feature_name(&self, index: u32) -> Option<String> {
+        self.0.feature_name(index)
+    }
+
+    fn kind(&self) -> FeatureSetKind {
+        self.0.kind()
+    }
+}
+
+/// Accepts any vector whose features sum past a small threshold.
+struct SumThreshold;
+
+impl VectorClassifier for SumThreshold {
+    fn score(&self, features: &SparseVector) -> f64 {
+        features.sum() - 0.5
+    }
+}
+
+/// A panic inside a handler answers that request `500` (counted as an
+/// error) and leaves the connection, the reactor and the server
+/// serving: the next request on the same connection gets its `200`.
+#[test]
+fn handler_panic_answers_500_and_the_connection_keeps_serving() {
+    for_each_io(handler_panic_answers_500_on);
+}
+
+fn handler_panic_answers_500_on(io: IoBackend) {
+    let mut generator = UrlGenerator::new(41);
+    let train = odp_dataset(&mut generator, CorpusScale::tiny()).train;
+    let mut inner = WordFeatureExtractor::default();
+    inner.fit(&train.urls);
+    let set = LanguageClassifierSet::build_vector(Arc::new(PanicOnMarker(inner)), |_| {
+        Box::new(SumThreshold)
+    });
+    let identifier = LanguageIdentifier::from_classifier_set(
+        set,
+        TrainingConfig::new(FeatureSetKind::Words, Algorithm::NaiveBayes),
+    );
+    let state = Arc::new(ServerState::new(identifier, None, 1024));
+    let server = spawn(&io_config(io), state).expect("bind");
+
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    // A handler panic that strands the request would hang this read.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let marker = "{\"url\": \"http://www.panik.de/\"}";
+    http::write_request(&mut writer, "POST", "/identify", Some(marker)).expect("write");
+    let (status, body) = http::read_response(&mut reader).expect("answer to the panic");
+    assert_eq!(status, 500);
+    assert!(body.contains("\"error\""), "{body}");
+
+    let calm = "{\"url\": \"http://www.ruhig.de/\"}";
+    http::write_request(&mut writer, "POST", "/identify", Some(calm)).expect("write");
+    let (status, body) = http::read_response(&mut reader).expect("next answer");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"scores\""), "{body}");
+
+    let metrics = server.state().metrics();
+    assert_eq!(metrics.errors.load(Ordering::Relaxed), 1);
+    assert_eq!(metrics.reactors_failed.load(Ordering::Relaxed), 0);
     server.shutdown();
 }
 
@@ -740,11 +837,5 @@ fn reactor_panic_is_contained_on(io: IoBackend) {
     // the single failed reactor; the gauge saw it too.
     let failed = server.join();
     assert_eq!(failed, 1, "exactly one reactor died");
-    assert_eq!(
-        state
-            .metrics()
-            .reactors_failed
-            .load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
+    assert_eq!(state.metrics().reactors_failed.load(Ordering::Relaxed), 1);
 }

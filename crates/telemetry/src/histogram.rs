@@ -1,6 +1,6 @@
 //! Log-linear histograms with bounded relative error.
 //!
-//! Values (typically microsecond durations) are bucketed into
+//! Values (typically nanosecond or microsecond durations) are bucketed into
 //! power-of-two ranges, each subdivided into [`SUB_BUCKETS`] linear
 //! sub-buckets (HdrHistogram-style). Values below [`SUB_BUCKETS`] get
 //! exact unit-width buckets. The reported quantile for any recorded
@@ -21,7 +21,8 @@ pub const SUB_BITS: u32 = 5;
 /// Number of linear sub-buckets per power-of-two range (32).
 pub const SUB_BUCKETS: u64 = 1 << SUB_BITS;
 /// Largest power-of-two exponent covered before clamping (2^40 ≈ 12.7
-/// days in microseconds — far beyond any duration we record).
+/// days in microseconds, ≈ 18 minutes in the nanoseconds the server
+/// records — far beyond any request or stage duration).
 const MAX_EXP: u32 = 39;
 /// Total bucket count: 32 exact unit buckets + 35 ranges × 32 sub-buckets.
 pub const BUCKETS: usize = ((MAX_EXP - SUB_BITS + 1) as usize + 1) * SUB_BUCKETS as usize;

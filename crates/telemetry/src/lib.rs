@@ -40,3 +40,9 @@ use std::time::Duration;
 pub fn duration_micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
+
+/// A `Duration` as saturating whole nanoseconds.
+#[inline]
+pub fn duration_nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}

@@ -17,23 +17,20 @@ use std::sync::Mutex;
 pub enum Stage {
     /// HTTP request parsing (incremental parser CPU).
     Parse = 0,
-    /// Time between reactor dispatch and worker pickup.
-    Queue = 1,
     /// Result-cache probe (hit or miss).
-    Cache = 2,
+    Cache = 1,
     /// Feature extraction into the sparse vector (cache miss only).
-    Extract = 3,
+    Extract = 2,
     /// Compiled-plane scoring over the extracted vector (cache miss only).
-    Score = 4,
+    Score = 3,
     /// Response serialization and socket flush.
-    Write = 5,
+    Write = 4,
 }
 
 impl Stage {
     /// All stages in pipeline order.
-    pub const ALL: [Stage; 6] = [
+    pub const ALL: [Stage; 5] = [
         Stage::Parse,
-        Stage::Queue,
         Stage::Cache,
         Stage::Extract,
         Stage::Score,
@@ -45,7 +42,6 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::Parse => "parse",
-            Stage::Queue => "queue",
             Stage::Cache => "cache",
             Stage::Extract => "extract",
             Stage::Score => "score",
@@ -62,10 +58,10 @@ pub struct SpanRecord {
     pub request_id: u64,
     /// Which stage this span timed.
     pub stage: Stage,
-    /// Stage start, microseconds since server start.
-    pub start_micros: u64,
-    /// Stage duration in microseconds.
-    pub duration_micros: u64,
+    /// Stage start, nanoseconds since server start.
+    pub start_nanos: u64,
+    /// Stage duration in nanoseconds.
+    pub duration_nanos: u64,
 }
 
 /// Fixed-capacity overwrite-oldest ring of span records.
@@ -122,7 +118,7 @@ impl SpanRing {
     }
 }
 
-/// Striped span rings: each recorder (reactor, pool worker) passes a
+/// Striped span rings: each recorder (a reactor thread) passes a
 /// stable stripe hint so steady-state recording is uncontended.
 pub struct TraceBuffer {
     stripes: Vec<Mutex<SpanRing>>,
@@ -161,7 +157,7 @@ impl TraceBuffer {
                 out.extend(ring.snapshot());
             }
         }
-        out.sort_by_key(|r| (r.start_micros, r.request_id, r.stage as usize));
+        out.sort_by_key(|r| (r.start_nanos, r.request_id, r.stage as usize));
         out
     }
 
@@ -184,8 +180,8 @@ mod tests {
         SpanRecord {
             request_id: id,
             stage,
-            start_micros: start,
-            duration_micros: 7,
+            start_nanos: start,
+            duration_nanos: 7,
         }
     }
 
@@ -209,7 +205,7 @@ mod tests {
         let buf = TraceBuffer::new(2, 4);
         assert!(buf.record(0, rec(2, Stage::Score, 20)));
         assert!(buf.record(1, rec(1, Stage::Parse, 5)));
-        assert!(buf.record(0, rec(1, Stage::Queue, 6)));
+        assert!(buf.record(0, rec(1, Stage::Cache, 6)));
         let snap = buf.snapshot();
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[0].request_id, 1);
@@ -221,9 +217,6 @@ mod tests {
     #[test]
     fn stage_names_are_stable() {
         let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            vec!["parse", "queue", "cache", "extract", "score", "write"]
-        );
+        assert_eq!(names, vec!["parse", "cache", "extract", "score", "write"]);
     }
 }
