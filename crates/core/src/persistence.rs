@@ -226,25 +226,6 @@ impl ModelBundle {
         Ok(serde_json::from_str(json)?)
     }
 
-    /// Save to a file (JSON).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `ModelBundle::save_json` (or `ModelBundle::pack` for the binary format)"
-    )]
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistenceError> {
-        self.save_json(path)
-    }
-
-    /// Load from a file (JSON only; a `.urlm` file has no bundle form —
-    /// load it through [`ModelSource`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `ModelSource::detect(path)?.load_identifier()`"
-    )]
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, PersistenceError> {
-        Self::load_json(path)
-    }
-
     /// Save to a file in the JSON interchange format.
     pub fn save_json(&self, path: impl AsRef<Path>) -> Result<(), PersistenceError> {
         std::fs::write(path, self.to_json()?)?;
@@ -719,7 +700,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the shims must keep working until removal
     fn save_and_load_files() {
         let training = tiny_training();
         let bundle = ModelBundle::train(
@@ -730,10 +710,10 @@ mod tests {
         let dir = std::env::temp_dir().join("urlid-persistence-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.json");
-        bundle.save(&path).unwrap();
-        let loaded = ModelBundle::load(&path).unwrap();
+        bundle.save_json(&path).unwrap();
+        let loaded = ModelBundle::load_json(&path).unwrap();
         assert_eq!(loaded.config().algorithm, Algorithm::DecisionTree);
-        assert!(ModelBundle::load(dir.join("missing.json")).is_err());
+        assert!(ModelBundle::load_json(dir.join("missing.json")).is_err());
         std::fs::remove_file(&path).ok();
     }
 

@@ -20,9 +20,9 @@
 //! throughput — overload by construction, certifying graceful
 //! shedding) — writing one multi-scenario report.
 //!
-//! `--scenarios a,b` restricts `--suite` to a named subset (e.g. the
-//! CI io_uring-vs-epoll comparison runs just
-//! `baseline_4conn,idle_1024` against each engine).
+//! `--scenarios a,b` restricts `--suite` to a named subset (e.g.
+//! `baseline_4conn,idle_1024`; the baseline runs first so the
+//! saturation sentinel stays resolvable).
 
 use std::process::ExitCode;
 use urlid_serve::{run_loadgen, run_suite, LoadgenConfig};

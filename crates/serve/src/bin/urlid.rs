@@ -68,19 +68,13 @@ USAGE:
                   gate binary loads beating JSON cold starts)
   urlid serve    --model <model> [--format auto|json|binary]
                  [--addr <host:port>] [--reactors <n>]
-                 [--io auto|uring|epoll]
                  [--max-inflight <n>] [--cache-capacity <n>]
                  [--weights f64|f32] [--telemetry on|off] [--slow-ms <n>]
                  (connections are multiplexed by --reactors event-loop
                   threads that also score the requests they parse, each
                   owning its own SO_REUSEPORT listener and cache shard
-                  set; 0 = one per core, the default.
-                  --io picks the reactor I/O engine: auto (default)
-                  probes io_uring and falls back to epoll when the
-                  kernel or a sandbox denies it (URLID_NO_URING forces
-                  the fallback); uring requires the rings; epoll forces
-                  the readiness poller. /metrics reports the choice as
-                  reactors.io_backend.
+                  set; 0 = one per core, the default. A port another
+                  server is already listening on fails the bind.
                   --max-inflight caps the connections a reactor serves
                   per event-loop pass; the next ready connection's
                   request is answered 503 — 0 = unlimited, default 32.
@@ -426,7 +420,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         // be sized one-per-reactor.
         config.reactors = urlid_serve::server::default_reactors();
     }
-    config.io = urlid_serve::server::IoBackend::parse(args.get("io").unwrap_or("auto"))?;
     if let Some(max_inflight) = args.get("max-inflight") {
         config.max_inflight = max_inflight
             .parse()
@@ -469,7 +462,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         model_path.display(),
         handle.addr(),
         config.reactors,
-        handle.state().metrics().io_backend(),
+        urlid_serve::sys::Poller::NAME,
     );
     let failed = handle.join();
     if failed > 0 {

@@ -3,7 +3,7 @@
 //! A [`Conn`] owns one non-blocking socket, an incremental
 //! [`RequestParser`], and an outbound queue of response segments
 //! flushed with vectored writes. It never blocks and never touches a
-//! thread of its own — the reactor calls in when the poller reports
+//! thread of its own — the reactor calls in when epoll reports
 //! readiness, answers each request the parser yields, and hands the
 //! response back through [`Conn::respond`]. The request lifecycle:
 //!
@@ -126,9 +126,9 @@ pub(crate) enum Step {
 pub(crate) struct Conn {
     stream: TcpStream,
     /// This connection's generation-tagged slab token — the identity
-    /// under which its socket is registered with the I/O backend (the
-    /// uring engine keys its per-connection staging by it; readiness
-    /// engines ignore it).
+    /// under which its socket is registered with the I/O backend, passed
+    /// back on every read and write (epoll ignores it; a simulated
+    /// engine keys its per-connection state by it).
     token: u64,
     /// Shared server state, for the error counter (protocol-level
     /// `400`/`413` rejections bypass the router but must still count).

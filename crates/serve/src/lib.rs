@@ -10,14 +10,11 @@
 //! philosophy as the rest of the workspace), and the crate targets
 //! Linux only:
 //!
-//! * [`sys`] — the pluggable I/O engines behind one `Backend` trait: a
-//!   hand-rolled **io_uring** engine (raw `io_uring_setup`/`enter`
-//!   syscalls, mmap'd SQ/CQ rings, one batched submission per loop
-//!   iteration) next to the epoll readiness poller, the self-pipe
+//! * [`sys`] — the hand-rolled syscall layer: the level-triggered
+//!   epoll poller (the one I/O engine, driven through the `Backend`
+//!   trait a test can put a simulated engine behind), the self-pipe
 //!   waker, and the `SO_REUSEPORT` listener binder behind the reactor
-//!   sharding (the one module with `unsafe` in it). `--io auto` probes
-//!   io_uring at boot and falls back to epoll where the kernel or a
-//!   sandbox denies it;
+//!   sharding (the one module with `unsafe` in it);
 //! * [`http`] — a minimal HTTP/1.1 codec whose server side is an
 //!   **incremental parser** (feed bytes → `NeedMore | Request | Error`)
 //!   that tolerates partial reads, pipelined requests and slow clients
@@ -89,14 +86,14 @@
 //! handle.join();
 //! ```
 
-// `unsafe` is confined to the raw syscall wrappers and the io_uring
-// engine in `sys` (which carries its own `allow`); everything above
-// the `Backend` trait is safe code.
+// `unsafe` is confined to the raw syscall wrappers in `sys` (which
+// carries its own `allow`); everything above the `Backend` trait is
+// safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-// The engines are epoll and io_uring, and the reactor sharding needs
-// Linux's `SO_REUSEPORT` load balancing.
+// The engine is epoll, and the reactor sharding needs Linux's
+// `SO_REUSEPORT` load balancing.
 #[cfg(not(target_os = "linux"))]
 compile_error!("urlid-serve supports Linux only");
 

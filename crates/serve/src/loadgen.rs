@@ -61,10 +61,9 @@ use urlid_telemetry::Histogram;
 /// histogram and added `p999_ms`. Version 4 added the multi-reactor
 /// columns (`reactors`, `per_reactor`), the open-loop fields
 /// (`arrival_rps`), and `admission_rejects`. Version 5 added the
-/// per-scenario `io_backend` (which reactor I/O engine — `uring`,
-/// `epoll` or `poll` — the server ran, read from `/metrics`), so an
-/// io_uring number is never compared against an epoll baseline without
-/// the label saying so.
+/// per-scenario `io_backend` (the reactor I/O engine the server
+/// reported in `/metrics`), so numbers from different engines are
+/// never compared without the label saying so.
 pub const SERVE_BENCH_SCHEMA: u32 = 5;
 
 /// Load-generator configuration for one scenario.
@@ -211,10 +210,11 @@ pub struct BenchReport {
     /// Reactor count read from `GET /metrics` after the run (0 when the
     /// server predates the gauge).
     pub reactors: u64,
-    /// Reactor I/O engine the server ran (`uring`, `epoll` or `poll`),
-    /// read from `GET /metrics` after the run; empty when the server
-    /// predates the field. Keeps uring and epoll numbers from being
-    /// compared unlabelled.
+    /// Reactor I/O engine the server ran (`epoll`; reports from older
+    /// servers may name engines since removed), read from
+    /// `GET /metrics` after the run; empty when the server predates the
+    /// field. Keeps numbers from different engines from being compared
+    /// unlabelled.
     #[serde(default)]
     pub io_backend: String,
     /// Per-reactor accept/evict/reject breakdown read from

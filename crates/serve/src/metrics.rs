@@ -18,8 +18,9 @@
 //! whole span plane can be disabled (`urlid serve --telemetry off`);
 //! counters and end-to-end latency stay on regardless.
 
+use crate::sys::Poller;
 use serde::Value;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 use urlid_telemetry::{AtomicHistogram, Histogram, SlowLog, SpanRecord, Stage, TraceBuffer};
@@ -103,10 +104,6 @@ pub struct Metrics {
     /// generator can size overload scenarios against the real admission
     /// threshold.
     pub max_inflight: AtomicU64,
-    /// Which I/O engine the reactors multiplex through, recorded at
-    /// spawn after the `--io` capability probe resolved: 0 = epoll,
-    /// 1 = uring (see [`Metrics::io_backend`]).
-    io_backend: AtomicU8,
     /// End-to-end latency in nanoseconds (parsed request → response
     /// handed to the socket) of `/identify` and `/identify_batch` —
     /// protocol-level `400`/`413` rejects included, so overload
@@ -147,7 +144,6 @@ impl Metrics {
             reactors: RwLock::new(Vec::new()),
             reactors_failed: AtomicU64::new(0),
             max_inflight: AtomicU64::new(0),
-            io_backend: AtomicU8::new(0),
             latency: AtomicHistogram::new(),
             slow: SlowLog::new(),
             stages: std::array::from_fn(|_| AtomicHistogram::new()),
@@ -433,25 +429,8 @@ impl Metrics {
             "admission_rejects",
             Value::Uint(self.admission_rejects_total()),
         );
-        reactors.insert("io_backend", Value::Str(self.io_backend().to_owned()));
+        reactors.insert("io_backend", Value::Str(Poller::NAME.to_owned()));
         reactors
-    }
-
-    /// Record which I/O engine the reactors were spawned with
-    /// (`"epoll"` or `"uring"`; anything else is recorded as epoll —
-    /// the engine resolution only produces those two).
-    pub fn set_io_backend(&self, name: &str) {
-        let code = u8::from(name == "uring");
-        self.io_backend.store(code, Ordering::Relaxed);
-    }
-
-    /// The I/O engine name recorded at spawn (`/metrics` JSON
-    /// `reactors.io_backend`, the Prometheus `io` label, `/healthz`).
-    pub fn io_backend(&self) -> &'static str {
-        match self.io_backend.load(Ordering::Relaxed) {
-            1 => "uring",
-            _ => "epoll",
-        }
     }
 
     /// The thread-budget section of the `/metrics` response: the

@@ -4,12 +4,12 @@
 //! Each of the server's `N` reactors is a single event loop owning its
 //! own listening socket (an `SO_REUSEPORT` sibling — see
 //! `server::bind_listeners`), its own wake pipe, and its own slab of
-//! [`Conn`] state machines, all registered in one I/O engine behind the
-//! [`Backend`] trait (io_uring or epoll — see [`crate::sys`]). The loop
-//! blocks in `wait` until something is ready, drives exactly the
-//! connections the kernel names, runs each fully parsed request's
-//! handler right here (`server::route`: cache probe, extraction,
-//! scoring, JSON) and writes the response in the same pass. A request
+//! [`Conn`] state machines, all registered in one epoll instance behind
+//! the [`Backend`] trait (see [`crate::sys`]). The loop blocks in
+//! `wait` until something is ready, drives exactly the connections the
+//! kernel names, runs each fully parsed request's handler right here
+//! (`server::route`: cache probe, extraction, scoring, JSON) and writes
+//! the response in the same pass. A request
 //! never leaves the thread that parsed it. An idle keep-alive
 //! connection costs one slab slot and one kernel registration — not a
 //! thread: thousands of mostly-idle crawl-frontier clients are served
@@ -85,9 +85,9 @@ pub(crate) struct Reactor {
     /// This reactor's index in the server's reactor set (the
     /// `X-Urlid-Reactor` value and the trace-stripe selector).
     index: usize,
-    /// The I/O engine this reactor multiplexes through — chosen once at
-    /// spawn (`--io`): the uring completion engine or the epoll
-    /// readiness poller.
+    /// The I/O engine this reactor multiplexes through: the epoll
+    /// poller, behind the trait a test can swap a simulated engine
+    /// into.
     backend: Box<dyn Backend>,
     listener: TcpListener,
     wake: WakePipe,
@@ -348,8 +348,7 @@ impl Reactor {
         step
     }
 
-    /// Accept every connection the backlog (or the uring engine's
-    /// accepted-fd queue) holds.
+    /// Accept every connection the backlog holds.
     fn accept_ready(&mut self, now: Instant) {
         loop {
             match self.backend.accept(&self.listener) {
@@ -473,9 +472,7 @@ impl Reactor {
         let Some(conn) = self.slots[idx].conn.take() else {
             return;
         };
-        // Deregister *before* the fd closes with `conn` below — the
-        // uring engine flushes and cancels this connection's in-kernel
-        // operations here.
+        // Deregister *before* the fd closes with `conn` below.
         let _ = self.backend.remove(conn.stream().as_raw_fd(), token);
         let slot = &mut self.slots[idx];
         slot.gen = slot.gen.wrapping_add(1);

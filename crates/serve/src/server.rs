@@ -10,13 +10,13 @@
 //! reactor and never migrates — no hot-path state crosses reactor
 //! boundaries. Each reactor feeds bytes into per-connection incremental
 //! parsers, runs every parsed request through `route` on its own
-//! thread, and writes the response over non-blocking I/O behind a
-//! pluggable engine (`--io`: batched io_uring or an epoll readiness
-//! poller; see [`crate::sys`] and [`IoBackend`]). The thread budget is
-//! the reactor count, independent of the number of open connections —
-//! thousands of mostly-idle keep-alive clients cost slab slots, not
-//! threads. Only `/identify_batch` fans out further: its cache misses
-//! score on `score_batch`'s scoped threads while the reactor waits.
+//! thread, and writes the response over non-blocking I/O multiplexed
+//! by a level-triggered epoll poller (see [`crate::sys`]). The thread
+//! budget is the reactor count, independent of the number of open
+//! connections — thousands of mostly-idle keep-alive clients cost slab
+//! slots, not threads. Only `/identify_batch` fans out further: its
+//! cache misses score on `score_batch`'s scoped threads while the
+//! reactor waits.
 //!
 //! Each reactor also runs **admission control**: it serves at most
 //! [`ServeConfig::max_inflight`] connections per event-loop pass and
@@ -39,7 +39,7 @@ use crate::cache::{normalize_url, CachedScores, ResultCache};
 use crate::http::{Request, MAX_BODY_BYTES};
 use crate::metrics::Metrics;
 use crate::reactor::Reactor;
-use crate::sys::{WakePipe, Waker};
+use crate::sys::{Poller, WakePipe, Waker};
 use serde::Value;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -60,38 +60,6 @@ const CONTENT_TYPE_JSON: &str = "application/json";
 const CONTENT_TYPE_PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
 /// Prometheus exposition factor for the nanosecond histograms.
 const SECONDS_PER_NANO: f64 = 1e-9;
-
-/// Which I/O engine the reactors multiplex through (`urlid serve
-/// --io`). The engines sit behind one trait ([`crate::sys::Backend`])
-/// and are behaviourally identical; they differ in syscall cost — see
-/// the README's "I/O backends" subsection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoBackend {
-    /// Probe io_uring at startup and use it when the kernel allows;
-    /// otherwise fall back to the epoll readiness poller and log why.
-    /// `URLID_NO_URING` in the environment forces the fallback, like
-    /// `URLID_NO_MMAP` does for the model mapping.
-    #[default]
-    Auto,
-    /// Require io_uring; refuse to start when the probe fails.
-    Uring,
-    /// The readiness poller, unconditionally.
-    Epoll,
-}
-
-impl IoBackend {
-    /// Parse a `--io` argument (`auto` | `uring` | `epoll`).
-    pub fn parse(s: &str) -> Result<IoBackend, String> {
-        match s {
-            "auto" => Ok(IoBackend::Auto),
-            "uring" => Ok(IoBackend::Uring),
-            "epoll" => Ok(IoBackend::Epoll),
-            other => Err(format!(
-                "invalid io backend {other:?} (expected auto, uring or epoll)"
-            )),
-        }
-    }
-}
 
 /// Default reactor count: one per core. Reactors score the requests
 /// they parse, so this is what puts every core to work.
@@ -114,8 +82,6 @@ pub struct ServeConfig {
     /// connection's request is answered `503`. Pipelined follow-ups on
     /// an admitted connection are never shed. `0` disables the limit.
     pub max_inflight: usize,
-    /// Which I/O engine the reactors use (see [`IoBackend`]).
-    pub io: IoBackend,
     /// Number of cache shards (mutex stripes) *per shard set*; each
     /// reactor maps onto one set of the state's [`ResultCache`].
     pub cache_shards: usize,
@@ -152,7 +118,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             reactors: 0,
             max_inflight: 32,
-            io: IoBackend::Auto,
             cache_shards: ResultCache::DEFAULT_SHARDS,
             idle_timeout: Duration::from_secs(5),
             max_body_bytes: MAX_BODY_BYTES,
@@ -738,10 +703,7 @@ fn handle_healthz(state: &ServerState) -> (u16, String) {
     let mut o = Value::object();
     o.insert("status", Value::Str("ok".to_owned()));
     o.insert("uptime_secs", Value::Float(state.metrics.uptime_secs()));
-    o.insert(
-        "io_backend",
-        Value::Str(state.metrics.io_backend().to_owned()),
-    );
+    o.insert("io_backend", Value::Str(Poller::NAME.to_owned()));
     o.insert("model", model_value(&status));
     (200, serde_json::to_string(&o).expect("response serialises"))
 }
@@ -872,10 +834,9 @@ pub fn prometheus_text(state: &ServerState) -> String {
         load(&m.reactors_failed) as f64,
     );
     let reactor_stats = m.reactor_stats();
-    // Per-reactor families carry the I/O engine as a label: every
-    // reactor runs the engine resolved at spawn, and the label is what
-    // lets a dashboard split a fleet mid-rollout by backend.
-    let io = m.io_backend();
+    // Per-reactor families carry the I/O engine as a label (always
+    // epoll), kept so the exposition's label set stays stable.
+    let io = Poller::NAME;
     w.family(
         "urlid_reactor_connections_open",
         "gauge",
@@ -1174,61 +1135,24 @@ impl ServerHandle {
 
 /// Bind one `SO_REUSEPORT` listener per reactor on one port, so the
 /// kernel load-balances accepts across them.
+///
+/// `SO_REUSEPORT` alone would also let a second server join a port
+/// that is already being served and quietly take a share of its
+/// connections. So the address is first claimed with a plain bind
+/// (`SO_REUSEADDR` only): that fails with `AddrInUse` while anything
+/// listens there, yet ignores `TIME_WAIT` leftovers of a previous run,
+/// and it resolves port 0. The claim is dropped before the group binds
+/// to the resolved port.
 fn bind_listeners(addr: &str, reactors: usize) -> io::Result<Vec<TcpListener>> {
     use std::net::ToSocketAddrs;
     let resolved = addr
         .to_socket_addrs()?
         .next()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"))?;
-    let first = crate::sys::bind_reuseport(resolved)?;
-    // Port 0 resolves on the first bind; the siblings must join the
-    // *resolved* port or each would get its own ephemeral one.
-    let actual = first.local_addr()?;
-    let mut listeners = vec![first];
-    for _ in 1..reactors {
-        listeners.push(crate::sys::bind_reuseport(actual)?);
-    }
-    Ok(listeners)
-}
-
-/// Resolve the configured [`IoBackend`] to the engine name that will
-/// actually serve. `Auto` probes io_uring once and falls back to the
-/// readiness poller with a logged reason; `Uring` turns a failed probe
-/// into a startup error instead of serving on a backend the operator
-/// did not ask for.
-fn resolve_io(requested: IoBackend) -> io::Result<&'static str> {
-    match requested {
-        IoBackend::Epoll => Ok(crate::sys::Poller::NAME),
-        IoBackend::Uring => crate::sys::uring::probe()
-            .map(|()| "uring")
-            .map_err(|reason| {
-                io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    format!("--io uring unavailable: {reason}"),
-                )
-            }),
-        IoBackend::Auto => match crate::sys::uring::probe() {
-            Ok(()) => Ok("uring"),
-            Err(reason) => {
-                eprintln!(
-                    "urlid-serve: io_uring unavailable ({reason}); falling back to {}",
-                    crate::sys::Poller::NAME
-                );
-                Ok(crate::sys::Poller::NAME)
-            }
-        },
-    }
-}
-
-/// Construct one reactor's I/O engine of the resolved kind. 256 SQ
-/// entries per uring: the submission queue only bounds one batch (not
-/// in-flight operations), and a batch bigger than that re-enters once
-/// more per 256 SQEs — already far past the per-iteration event count.
-fn make_backend(resolved: &'static str) -> io::Result<Box<dyn crate::sys::Backend>> {
-    if resolved == "uring" {
-        return Ok(Box::new(crate::sys::uring::UringEngine::new(256)?));
-    }
-    Ok(Box::new(crate::sys::Poller::new()?))
+    let actual = TcpListener::bind(resolved)?.local_addr()?;
+    (0..reactors)
+        .map(|_| crate::sys::bind_reuseport(actual))
+        .collect()
 }
 
 /// Start the server: bind the per-reactor listeners, spawn the reactor
@@ -1248,13 +1172,8 @@ pub fn spawn(config: &ServeConfig, state: Arc<ServerState>) -> io::Result<Server
     };
     let listeners = bind_listeners(&config.addr, reactors)?;
     let addr = listeners[0].local_addr()?;
-    // Resolve the I/O engine once, before any thread spawns: a forced
-    // `--io uring` on a denied kernel must fail the boot, and `auto`
-    // must log its fallback exactly once.
-    let io_backend = resolve_io(config.io)?;
     let metrics = state.metrics();
     metrics.set_telemetry_enabled(config.telemetry);
-    metrics.set_io_backend(io_backend);
     metrics
         .max_inflight
         .store(config.max_inflight as u64, Ordering::Relaxed);
@@ -1269,10 +1188,9 @@ pub fn spawn(config: &ServeConfig, state: Arc<ServerState>) -> io::Result<Server
     for (index, listener) in listeners.into_iter().enumerate() {
         let (wake_pipe, waker) = WakePipe::new()?;
         wakers.push(Arc::new(waker));
-        let backend = make_backend(io_backend)?;
         built.push(Reactor::new(
             index,
-            backend,
+            Box::new(Poller::new()?),
             listener,
             wake_pipe,
             Arc::clone(&state),

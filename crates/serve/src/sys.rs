@@ -3,19 +3,13 @@
 //! The build container has no crates.io access (no `mio`, no `libc`
 //! crate), so the handful of C symbols the reactor needs are declared
 //! by hand; `std` already links libc on every unix target, so the
-//! symbols resolve at link time. The crate is Linux-only, and two
-//! engines sit behind the same [`Backend`] trait:
-//!
-//! * `epoll` (`epoll_create1` / `epoll_ctl` / `epoll_wait`),
-//!   level-triggered — O(ready) wakeups regardless of how many idle
-//!   connections are registered; data-plane reads and writes are plain
-//!   syscalls on the ready socket;
-//! * [`uring`] (kernel ≥ 5.11) — `io_uring` submission/completion
-//!   rings (hand-rolled `io_uring_setup`/`io_uring_enter`,
-//!   mmap'd rings). The data plane itself rides the ring: multishot
-//!   `accept`, re-armed `recv` SQEs and staged `send` SQEs are batched
-//!   into **one** `io_uring_enter` per event-loop iteration instead of
-//!   one syscall per connection event.
+//! symbols resolve at link time. The crate is Linux-only, and its one
+//! I/O engine is [`Poller`]: `epoll` (`epoll_create1` / `epoll_ctl` /
+//! `epoll_wait`), level-triggered — O(ready) wakeups regardless of how
+//! many idle connections are registered; reads and writes are plain
+//! syscalls on the ready socket. The reactor drives it through the
+//! [`Backend`] trait, the seam a test can put a simulated engine
+//! behind.
 //!
 //! Shutdown wakeups use a self-pipe ([`WakePipe`] / [`Waker`]): the
 //! read end is registered in the backend like any other fd, and any
@@ -76,53 +70,35 @@ pub const LISTENER: u64 = u64::MAX;
 /// Reserved registration token of a reactor's wake-pipe read end.
 pub const WAKE: u64 = u64::MAX - 1;
 
-/// One I/O engine a reactor can drive its connections through.
+/// The I/O engine a reactor drives its connections through.
 ///
-/// The readiness engine ([`Poller`], epoll) reports which fds are
-/// ready and lets the caller do the actual `read`/`writev` syscalls;
-/// the completion engine ([`uring::UringEngine`]) performs the I/O
-/// inside the kernel's submission/completion rings and stages the
-/// results, so `read` and `write_vectored` are userspace copies
-/// against engine-owned buffers.
-/// Either way the reactor sees the same level-triggered-flavoured
-/// surface: [`Event`]s keyed by token, `WouldBlock` when an operation
-/// cannot progress yet, and a later event when it can.
+/// [`Poller`] (epoll) is the one production engine: it reports which
+/// fds are ready and `read`/`write_vectored` are the plain syscalls on
+/// the ready socket. The trait stays so a test can swap in a simulated
+/// engine; the token parameters let such an engine key per-connection
+/// state without a fd. The reactor sees a level-triggered surface:
+/// [`Event`]s keyed by token, `WouldBlock` when an operation cannot
+/// progress yet, and a later event when it can.
 pub trait Backend: Send {
-    /// Which engine this is: `"epoll"` or `"uring"` (the `/metrics`
-    /// `reactors.io_backend` value and Prometheus `io` label).
-    fn name(&self) -> &'static str;
-
     /// Register `fd` under `token`. The reserved [`LISTENER`] and
-    /// [`WAKE`] tokens identify the two special fds (the uring engine
-    /// arms a multishot accept / a poll on them instead of a recv).
+    /// [`WAKE`] tokens identify the two special fds.
     fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
 
-    /// Change the interest set of a registered fd. Completion engines
-    /// may ignore this — their reads re-arm on consumption and their
-    /// writes complete on their own schedule.
+    /// Change the interest set of a registered fd.
     fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
 
-    /// Deregister a fd. The caller closes the fd *after* this returns;
-    /// the uring engine uses the window to cancel pending operations
-    /// and, when staged output is still in flight, to duplicate the fd
-    /// so the tail of the response still drains.
+    /// Deregister a fd. The caller closes the fd *after* this returns.
     fn remove(&mut self, fd: RawFd, token: u64) -> io::Result<()>;
 
     /// Block until at least one event (or `timeout`); append ready
-    /// events to `events`. For the uring engine this is also the one
-    /// `io_uring_enter` that submits every SQE staged since the last
-    /// call — the whole point of the batched design.
+    /// events to `events`.
     fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()>;
 
     /// Accept one pending connection on the registered listener
-    /// (`WouldBlock` when the backlog — kernel or completion-queue —
-    /// is empty).
+    /// (`WouldBlock` when the backlog is empty).
     fn accept(&mut self, listener: &std::net::TcpListener) -> io::Result<std::net::TcpStream>;
 
     /// Read into `buf` for the connection registered under `token`.
-    /// Readiness engines issue the syscall on `stream`; the uring
-    /// engine copies from the staged recv completion and re-arms the
-    /// next recv SQE once the staging drains.
     fn read(
         &mut self,
         token: u64,
@@ -131,10 +107,6 @@ pub trait Backend: Send {
     ) -> io::Result<usize>;
 
     /// Vectored write for the connection registered under `token`.
-    /// Readiness engines issue `writev` on `stream`; the uring engine
-    /// gathers the slices into its per-connection staging buffer and
-    /// submits a send SQE (`WouldBlock` while one is already in
-    /// flight).
     fn write_vectored(
         &mut self,
         token: u64,
@@ -144,10 +116,6 @@ pub trait Backend: Send {
 }
 
 impl Backend for Poller {
-    fn name(&self) -> &'static str {
-        Poller::NAME
-    }
-
     fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         Poller::add(self, fd, token, interest)
     }
@@ -188,8 +156,6 @@ impl Backend for Poller {
         (&mut &*stream).write_vectored(bufs)
     }
 }
-
-pub mod uring;
 
 fn last_os_error() -> io::Error {
     io::Error::last_os_error()
@@ -259,7 +225,8 @@ mod epoll {
     }
 
     impl Poller {
-        /// Engine name for `/metrics` (`reactors.io_backend`).
+        /// Engine name reported by `/healthz` and `/metrics`
+        /// (`reactors.io_backend`, the Prometheus `io` label).
         pub const NAME: &'static str = "epoll";
 
         /// A fresh epoll instance (close-on-exec).

@@ -90,15 +90,9 @@ fn loadgen_completes_and_emits_bench_json() {
     for key in ["hits", "misses", "hit_rate"] {
         assert!(cache.get(key).is_some(), "missing cache.{key}");
     }
-    // The report names the reactor I/O engine the server actually ran
-    // (the default config auto-probes, so either engine is legitimate).
-    match parsed.get("io_backend") {
-        Some(Value::Str(io)) => assert!(
-            matches!(io.as_str(), "uring" | "epoll"),
-            "unexpected io_backend {io:?}"
-        ),
-        other => panic!("io_backend must be a string, got {other:?}"),
-    }
+    // The report names the reactor I/O engine the server ran: epoll,
+    // the only one.
+    assert_eq!(parsed.get("io_backend"), Some(&Value::Str("epoll".into())));
     std::fs::remove_file(&out).ok();
 }
 

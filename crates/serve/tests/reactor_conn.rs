@@ -17,7 +17,7 @@ use urlid::prelude::*;
 use urlid_classifiers::VectorClassifier;
 use urlid_features::SparseVector;
 use urlid_serve::http;
-use urlid_serve::server::{spawn, IoBackend, ServeConfig, ServerHandle, ServerState};
+use urlid_serve::server::{spawn, ServeConfig, ServerHandle, ServerState};
 use urlid_serve::ResultCache;
 
 fn trained_identifier() -> LanguageIdentifier {
@@ -29,27 +29,6 @@ fn trained_identifier() -> LanguageIdentifier {
 fn start_server(config: &ServeConfig) -> ServerHandle {
     let state = Arc::new(ServerState::new(trained_identifier(), None, 4096));
     spawn(config, state).expect("bind on 127.0.0.1:0")
-}
-
-/// Run a test body once per I/O engine: the epoll leg always, the
-/// uring leg when this kernel/sandbox allows it (skipped with a logged
-/// reason otherwise, so the suite stays green everywhere). Every
-/// behaviour in this file must hold identically on both engines —
-/// that equivalence is what lets `--io auto` pick either.
-fn for_each_io(test: impl Fn(IoBackend)) {
-    test(IoBackend::Epoll);
-    match urlid_serve::sys::uring::probe() {
-        Ok(()) => test(IoBackend::Uring),
-        Err(reason) => eprintln!("skipping the --io uring leg: {reason}"),
-    }
-}
-
-/// A default config pinned to one I/O engine.
-fn io_config(io: IoBackend) -> ServeConfig {
-    ServeConfig {
-        io,
-        ..ServeConfig::default()
-    }
 }
 
 fn identify(addr: SocketAddr, url: &str) -> (u16, String) {
@@ -84,11 +63,7 @@ fn uint_of(value: &Value, key: &str) -> u64 {
 /// — all while other clients keep being served.
 #[test]
 fn slowloris_byte_at_a_time_request_is_served_without_holding_a_thread() {
-    for_each_io(slowloris_byte_at_a_time_request_is_served_on);
-}
-
-fn slowloris_byte_at_a_time_request_is_served_on(io: IoBackend) {
-    let server = start_server(&io_config(io));
+    let server = start_server(&ServeConfig::default());
     let addr = server.addr();
 
     let slow = std::thread::spawn(move || {
@@ -125,11 +100,7 @@ fn slowloris_byte_at_a_time_request_is_served_on(io: IoBackend) {
 /// split) parses into one request.
 #[test]
 fn split_content_length_body_is_reassembled() {
-    for_each_io(split_content_length_body_is_reassembled_on);
-}
-
-fn split_content_length_body_is_reassembled_on(io: IoBackend) {
-    let server = start_server(&io_config(io));
+    let server = start_server(&ServeConfig::default());
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     let body = "{\"url\": \"http://www.beispiel.de/geteilt\"}";
     let head = format!(
@@ -155,11 +126,7 @@ fn split_content_length_body_is_reassembled_on(io: IoBackend) {
 /// come back as three ordered responses on the same connection.
 #[test]
 fn pipelined_requests_on_one_connection_answer_in_order() {
-    for_each_io(pipelined_requests_answer_in_order_on);
-}
-
-fn pipelined_requests_answer_in_order_on(io: IoBackend) {
-    let server = start_server(&io_config(io));
+    let server = start_server(&ServeConfig::default());
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     let mut wire = String::new();
     let urls = [
@@ -202,12 +169,10 @@ fn pipelined_requests_answer_in_order_on(io: IoBackend) {
 /// follow-ups on an admitted connection are never shed.
 #[test]
 fn large_pipelined_burst_drains_through_vectored_writes() {
-    for_each_io(|io| {
-        large_pipelined_burst_drains_on(io_config(io));
-        large_pipelined_burst_drains_on(ServeConfig {
-            max_inflight: 1,
-            ..io_config(io)
-        });
+    large_pipelined_burst_drains_on(ServeConfig::default());
+    large_pipelined_burst_drains_on(ServeConfig {
+        max_inflight: 1,
+        ..ServeConfig::default()
     });
 }
 
@@ -246,13 +211,8 @@ fn large_pipelined_burst_drains_on(config: ServeConfig) {
 /// counted); mid-header slowloris drips that stall count the same way.
 #[test]
 fn idle_connections_are_evicted_after_the_timeout() {
-    for_each_io(idle_connections_are_evicted_on);
-}
-
-fn idle_connections_are_evicted_on(io: IoBackend) {
     let config = ServeConfig {
         idle_timeout: Duration::from_millis(200),
-        io,
         ..ServeConfig::default()
     };
     let server = start_server(&config);
@@ -295,11 +255,7 @@ fn idle_connections_are_evicted_on(io: IoBackend) {
 /// afterwards.
 #[test]
 fn hundreds_of_idle_connections_do_not_block_active_traffic() {
-    for_each_io(hundreds_of_idle_connections_do_not_block_on);
-}
-
-fn hundreds_of_idle_connections_do_not_block_on(io: IoBackend) {
-    let server = start_server(&io_config(io));
+    let server = start_server(&ServeConfig::default());
     let addr = server.addr();
 
     // Open 256 keep-alive connections, prove each one once.
@@ -341,13 +297,8 @@ fn hundreds_of_idle_connections_do_not_block_on(io: IoBackend) {
 /// before any body is accepted — the client has only sent headers.
 #[test]
 fn oversized_content_length_is_rejected_before_the_body_is_sent() {
-    for_each_io(oversized_content_length_is_rejected_on);
-}
-
-fn oversized_content_length_is_rejected_on(io: IoBackend) {
     let config = ServeConfig {
         max_body_bytes: 1024,
-        io,
         ..ServeConfig::default()
     };
     let server = start_server(&config);
@@ -375,11 +326,7 @@ fn oversized_content_length_is_rejected_on(io: IoBackend) {
 /// wedge the reactor while the response is on its way.
 #[test]
 fn half_closed_client_still_receives_its_response() {
-    for_each_io(half_closed_client_still_receives_on);
-}
-
-fn half_closed_client_still_receives_on(io: IoBackend) {
-    let server = start_server(&io_config(io));
+    let server = start_server(&ServeConfig::default());
     let stream = TcpStream::connect(server.addr()).expect("connect");
     let mut writer = stream.try_clone().expect("clone");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -407,11 +354,7 @@ fn half_closed_client_still_receives_on(io: IoBackend) {
 /// dropped — never a panic, never a wedged slot.
 #[test]
 fn malformed_request_line_gets_400_and_close() {
-    for_each_io(malformed_request_line_gets_400_on);
-}
-
-fn malformed_request_line_gets_400_on(io: IoBackend) {
-    let server = start_server(&io_config(io));
+    let server = start_server(&ServeConfig::default());
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream.write_all(b"BANANA\r\n\r\n").expect("garbage");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -432,11 +375,7 @@ fn malformed_request_line_gets_400_on(io: IoBackend) {
 /// closed; the listener stops accepting.
 #[test]
 fn shutdown_drains_in_flight_requests_and_closes_idle_connections() {
-    for_each_io(shutdown_drains_in_flight_requests_on);
-}
-
-fn shutdown_drains_in_flight_requests_on(io: IoBackend) {
-    let server = start_server(&io_config(io));
+    let server = start_server(&ServeConfig::default());
     let addr = server.addr();
 
     // An idle bystander connection (proven once).
@@ -509,6 +448,42 @@ fn shutdown_drains_in_flight_requests_on(io: IoBackend) {
     }
 }
 
+/// A second server cannot join a port that is already being served:
+/// every listener binds with `SO_REUSEPORT`, which on its own would let
+/// the newcomer boot and take a share of the first server's
+/// connections. Once the first server has shut down, the same address
+/// binds and serves again.
+#[test]
+fn a_served_port_refuses_a_second_server_and_rebinds_after_shutdown() {
+    let first = start_server(&ServeConfig::default());
+    let addr = first.addr();
+    let config = ServeConfig {
+        addr: addr.to_string(),
+        ..ServeConfig::default()
+    };
+    let state = Arc::new(ServerState::new(trained_identifier(), None, 4096));
+    match spawn(&config, Arc::clone(&state)) {
+        Ok(second) => {
+            second.shutdown();
+            panic!("a second server bound {addr}, which is already being served");
+        }
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::AddrInUse, "{e}"),
+    }
+    // The refused newcomer left the first server untouched.
+    for i in 0..8 {
+        let (status, _) = identify(addr, &format!("http://www.erster-server{i}.de/"));
+        assert_eq!(status, 200, "first server, request {i}");
+    }
+    first.shutdown();
+
+    let restarted = spawn(&config, state).expect("rebind the address after shutdown");
+    assert_eq!(restarted.addr(), addr);
+    let (status, body) = identify(addr, "http://www.neustart.de/wetter");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"scores\""), "{body}");
+    restarted.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Multi-reactor guarantees
 // ---------------------------------------------------------------------
@@ -519,13 +494,8 @@ fn shutdown_drains_in_flight_requests_on(io: IoBackend) {
 /// totals saw.
 #[test]
 fn connections_stay_pinned_to_their_accepting_reactor() {
-    for_each_io(connections_stay_pinned_on);
-}
-
-fn connections_stay_pinned_on(io: IoBackend) {
     let config = ServeConfig {
         reactors: 2,
-        io,
         ..ServeConfig::default()
     };
     let server = start_server(&config);
@@ -608,10 +578,6 @@ impl VectorClassifier for SumThreshold {
 /// serving: the next request on the same connection gets its `200`.
 #[test]
 fn handler_panic_answers_500_and_the_connection_keeps_serving() {
-    for_each_io(handler_panic_answers_500_on);
-}
-
-fn handler_panic_answers_500_on(io: IoBackend) {
     let mut generator = UrlGenerator::new(41);
     let train = odp_dataset(&mut generator, CorpusScale::tiny()).train;
     let mut inner = WordFeatureExtractor::default();
@@ -624,7 +590,7 @@ fn handler_panic_answers_500_on(io: IoBackend) {
         TrainingConfig::new(FeatureSetKind::Words, Algorithm::NaiveBayes),
     );
     let state = Arc::new(ServerState::new(identifier, None, 1024));
-    let server = spawn(&io_config(io), state).expect("bind");
+    let server = spawn(&ServeConfig::default(), state).expect("bind");
 
     let stream = TcpStream::connect(server.addr()).expect("connect");
     // A handler panic that strands the request would hang this read.
@@ -669,10 +635,6 @@ fn train_and_save(algorithm: Algorithm, dir: &std::path::Path) -> std::path::Pat
 /// mismatch (NB and RE score scales differ by construction).
 #[test]
 fn reload_invalidates_every_cache_shard_set_across_reactors() {
-    for_each_io(reload_invalidates_every_cache_shard_set_on);
-}
-
-fn reload_invalidates_every_cache_shard_set_on(io: IoBackend) {
     let dir = std::env::temp_dir().join("urlid-reactor-reload-test");
     std::fs::create_dir_all(&dir).unwrap();
     let nb_path = train_and_save(Algorithm::NaiveBayes, &dir);
@@ -689,7 +651,6 @@ fn reload_invalidates_every_cache_shard_set_on(io: IoBackend) {
     ));
     let config = ServeConfig {
         reactors: 2,
-        io,
         ..ServeConfig::default()
     };
     let server = spawn(&config, state).expect("bind");
@@ -738,7 +699,7 @@ fn reload_invalidates_every_cache_shard_set_on(io: IoBackend) {
         None,
         4096,
     ));
-    let reference = spawn(&io_config(io), reference_state).expect("bind reference");
+    let reference = spawn(&ServeConfig::default(), reference_state).expect("bind reference");
     for i in 0..UNIQUE_URLS {
         let body = format!("{{\"url\": \"http://www.seite{i}.de/wetter\"}}");
         let (status, swapped) = request_json(addr, "POST", "/identify", Some(&body));
@@ -760,14 +721,9 @@ fn reload_invalidates_every_cache_shard_set_on(io: IoBackend) {
 /// over its own slab.
 #[test]
 fn thousand_idle_keepalives_across_reactors_evict_on_timeout() {
-    for_each_io(thousand_idle_keepalives_evict_on);
-}
-
-fn thousand_idle_keepalives_evict_on(io: IoBackend) {
     let config = ServeConfig {
         reactors: 2,
         idle_timeout: Duration::from_millis(300),
-        io,
         ..ServeConfig::default()
     };
     let server = start_server(&config);
@@ -804,15 +760,10 @@ fn thousand_idle_keepalives_evict_on(io: IoBackend) {
 /// gauge agrees.
 #[test]
 fn reactor_panic_is_contained_and_drains_the_siblings() {
-    for_each_io(reactor_panic_is_contained_on);
-}
-
-fn reactor_panic_is_contained_on(io: IoBackend) {
     let config = ServeConfig {
         reactors: 2,
         fail_after_accepts: Some(0),
         drain_timeout: Duration::from_millis(200),
-        io,
         ..ServeConfig::default()
     };
     let server = start_server(&config);

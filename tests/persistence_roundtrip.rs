@@ -6,10 +6,6 @@
 //! identical decisions on every URL, for every persistable training
 //! configuration (all five algorithms × all three feature sets).
 
-// This suite pins the behaviour of the deprecated `save`/`load` shims:
-// they must keep working (as JSON) until their removal.
-#![allow(deprecated)]
-
 use urlid::prelude::*;
 
 /// The fixed URL sample: generated URLs of every language plus odd-host
@@ -59,8 +55,8 @@ fn every_persistable_recipe_survives_save_and_reload_bit_identically() {
             let bundle = ModelBundle::train(&training, &config)
                 .unwrap_or_else(|e| panic!("{feature_set:?}/{algorithm:?}: {e}"));
             let path = dir.join(format!("{feature_set:?}-{algorithm:?}.json"));
-            bundle.save(&path).unwrap();
-            let reloaded = ModelBundle::load(&path)
+            bundle.save_json(&path).unwrap();
+            let reloaded = ModelBundle::load_json(&path)
                 .unwrap_or_else(|e| panic!("{feature_set:?}/{algorithm:?} reload: {e}"));
             assert_eq!(reloaded.config().algorithm, algorithm);
             assert_eq!(reloaded.config().feature_set, feature_set);
