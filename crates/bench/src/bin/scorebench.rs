@@ -24,9 +24,9 @@
 //!   1e-12 (in fact bit-identically) on every probe URL;
 //! * the `f32` lane must reproduce every accept/reject decision and
 //!   stay within [`F32_SCORE_TOLERANCE`] (relative) of the `f64` scores;
-//! * the uniform-plane recipes (words/trigrams × nb/re/me) must score a
-//!   warm probe pass with **zero heap allocations**, proven by the
-//!   counting global allocator below;
+//! * the uniform-plane recipes (words/trigrams/custom × nb/re/me) must
+//!   score a warm probe pass with **zero heap allocations**, proven by
+//!   the counting global allocator below;
 //! * the same zero-allocation contract must hold through the
 //!   **instrumented split path** (`score_all_with_split`, the serve
 //!   layer's per-stage telemetry), whose scores must also match the
@@ -123,7 +123,8 @@ struct RecipeBench {
     /// URL on a sub-microsecond hot loop.
     split_path_rps: f64,
     /// Must this recipe score with zero steady-state allocations?
-    /// True for the uniform-plane recipes: words/trigrams × nb/re/me.
+    /// True for the uniform-plane recipes: words/trigrams/custom ×
+    /// nb/re/me.
     zero_alloc_required: bool,
 }
 
@@ -404,12 +405,11 @@ fn run() -> Result<(), String> {
 
             // Steady-state allocation audit on the f64 compiled plane.
             // The uniform recipes (all five languages on one linear or
-            // entropy plane, words or trigrams) must be allocation-free
-            // once the scratch is warm; custom features and the hybrid
-            // dt/knn fallbacks may allocate and are reported, not gated.
+            // entropy plane, over any feature family) must be
+            // allocation-free once the scratch is warm; the hybrid dt/knn
+            // fallbacks may allocate and are reported, not gated.
             let steady_allocs = steady_allocs_per_url(&compiled, &probe);
-            let zero_alloc_required = matches!(feature_name, "words" | "trigrams")
-                && matches!(algorithm_name, "nb" | "re" | "me");
+            let zero_alloc_required = matches!(algorithm_name, "nb" | "re" | "me");
             if zero_alloc_required && steady_allocs > 0.0 {
                 zero_alloc_ok = false;
             }

@@ -277,18 +277,23 @@ impl ModelBundle {
         let mut payload = PlanePayload::default();
         plane.serialize_into(&mut payload);
 
-        let extractor = match plane.transform() {
-            Some(t) => ExtractorMeta::Compiled(TransformMeta::of(t)),
-            None => match &self.extractor {
-                AnyExtractor::Custom(c) => ExtractorMeta::Custom(c.clone()),
-                _ => {
+        let extractor = match &self.extractor {
+            // The custom extractor travels whole; its compiled table is
+            // rebuilt at load.
+            AnyExtractor::Custom(c) => ExtractorMeta::Custom(c.clone()),
+            _ => match plane.transform().and_then(TransformMeta::of) {
+                Some(tm) => ExtractorMeta::Compiled(tm),
+                None => {
                     return Err(PersistenceError::Corrupt(
                         "word/trigram extractor failed to compile its transform".into(),
                     ))
                 }
             },
         };
-        let vocab_len = plane.transform().map(|t| t.dim()).unwrap_or(0);
+        let vocab = plane
+            .transform()
+            .and_then(CompiledTransform::feature_vocabulary);
+        let vocab_len = vocab.map_or(0, InternedVocabulary::len);
         let meta = MetaDoc {
             config: self.config,
             extractor,
@@ -298,10 +303,7 @@ impl ModelBundle {
 
         let mut writer = UrlmWriter::new();
         writer.push(SectionId::Meta, serde_json::to_string(&meta)?.into_bytes());
-        if let Some(
-            CompiledTransform::Words { vocab, .. } | CompiledTransform::Trigrams { vocab, .. },
-        ) = plane.transform()
-        {
+        if let Some(vocab) = vocab {
             let parts = vocab.parts();
             writer.push(SectionId::Arena, parts.arena.to_vec());
             writer.push(SectionId::Bounds, u32_bytes(parts.bounds));
@@ -372,8 +374,9 @@ struct MetaDoc {
 
 /// The serialisable half of the extractor. Word/trigram extractors
 /// persist only their [`TransformMeta`] — the vocabulary itself lives
-/// in the mapped sections; the custom extractor is a few dozen scalars
-/// and travels whole.
+/// in the mapped sections; the custom extractor (its trained
+/// dictionaries) travels whole, and its compiled table is rebuilt from
+/// it at load.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum ExtractorMeta {
     Compiled(TransformMeta),
@@ -530,7 +533,7 @@ fn load_binary(path: &Path) -> Result<LanguageIdentifier, PersistenceError> {
         .ok_or_else(|| PersistenceError::Corrupt("META section is missing".into()))?;
     let meta = meta_from_bytes(meta_bytes)?;
 
-    // Extractor + compiled transform (None for the custom features).
+    // Extractor + compiled transform.
     let (extractor, transform): (Arc<dyn FeatureExtractor>, Option<CompiledTransform>) =
         match meta.extractor {
             ExtractorMeta::Compiled(tm) => {
@@ -554,7 +557,10 @@ fn load_binary(path: &Path) -> Result<LanguageIdentifier, PersistenceError> {
                     Some(transform),
                 )
             }
-            ExtractorMeta::Custom(custom) => (Arc::new(custom), None),
+            ExtractorMeta::Custom(custom) => {
+                let transform = custom.compile_transform();
+                (Arc::new(custom), transform)
+            }
         };
 
     // The scoring plane, over zero-copy views of the mapped sections.

@@ -1,27 +1,31 @@
 //! Compiled feature transforms — the extraction half of the compiled
 //! scoring plane.
 //!
-//! A [`CompiledTransform`] is the runtime form of a fitted word or
-//! trigram extractor: the same tokenizer, but the vocabulary interned
-//! into an [`InternedVocabulary`] so that token→feature-id resolution is
-//! a zero-allocation `&[u8]` probe instead of a `HashMap<String, u32>`
-//! lookup. [`CompiledTransform::extract`] produces **exactly** the same
-//! [`SparseVector`] as the source extractor's
+//! A [`CompiledTransform`] is the runtime form of a fitted extractor.
+//! For word and trigram features it is the same tokenizer with the
+//! vocabulary interned into an [`InternedVocabulary`], so that
+//! token→feature-id resolution is a zero-allocation `&[u8]` probe
+//! instead of a `HashMap<String, u32>` lookup. For the custom features
+//! it is a [`CompiledCustom`]: every dictionary word the feature set
+//! reads interned into one table of per-language membership bits, walked
+//! once per URL. [`CompiledTransform::extract`] produces **exactly** the
+//! same [`SparseVector`] as the source extractor's
 //! [`crate::FeatureExtractor::transform_with`] — the compiled plane's
 //! correctness contract starts here.
 //!
 //! Extractors opt in through
-//! [`crate::FeatureExtractor::compile_transform`]; extractors whose
-//! transform is not a vocabulary lookup (the custom features, the
-//! raw-URL trigram ablation, instrumented test wrappers) simply return
-//! `None` and keep being called through the trait object.
+//! [`crate::FeatureExtractor::compile_transform`]; extractors that do
+//! not lower (the raw-URL trigram ablation, instrumented test wrappers)
+//! return `None` and keep being called through the trait object.
 
+use crate::custom::CompiledCustom;
+use crate::extractor::FeatureSetKind;
 use crate::intern::InternedVocabulary;
 use crate::scratch::ExtractScratch;
 use crate::vector::SparseVector;
 use urlid_tokenize::{ngram, Tokenizer};
 
-/// A compiled word- or trigram-feature transform.
+/// A compiled word, trigram or custom feature transform.
 #[derive(Debug, Clone)]
 pub enum CompiledTransform {
     /// Word features: one vocabulary probe per token.
@@ -40,15 +44,41 @@ pub enum CompiledTransform {
         /// n-gram length (3 in the paper).
         n: usize,
     },
+    /// Custom-made features: one table probe per letter run.
+    Custom(CompiledCustom),
 }
 
 impl CompiledTransform {
     /// Dimensionality of the compiled feature space (the vocabulary
-    /// size, matching the source extractor's `dim()`).
+    /// size for words and trigrams, 15 or 74 for custom features —
+    /// matching the source extractor's `dim()`).
     pub fn dim(&self) -> usize {
         match self {
             CompiledTransform::Words { vocab, .. } => vocab.len(),
             CompiledTransform::Trigrams { vocab, .. } => vocab.len(),
+            CompiledTransform::Custom(custom) => custom.dim(),
+        }
+    }
+
+    /// Which feature family the transform implements.
+    pub fn kind(&self) -> FeatureSetKind {
+        match self {
+            CompiledTransform::Words { .. } => FeatureSetKind::Words,
+            CompiledTransform::Trigrams { .. } => FeatureSetKind::Trigrams,
+            CompiledTransform::Custom(_) => FeatureSetKind::Custom,
+        }
+    }
+
+    /// The vocabulary whose ids *are* the feature ids — what a `.urlm`
+    /// file stores in its vocabulary sections. `None` for custom
+    /// features, whose fixed feature space is not a vocabulary (their
+    /// table is rebuilt from the extractor at load).
+    pub fn feature_vocabulary(&self) -> Option<&InternedVocabulary> {
+        match self {
+            CompiledTransform::Words { vocab, .. } | CompiledTransform::Trigrams { vocab, .. } => {
+                Some(vocab)
+            }
+            CompiledTransform::Custom(_) => None,
         }
     }
 
@@ -63,7 +93,8 @@ impl CompiledTransform {
 
     /// Like [`CompiledTransform::extract`], but the result lands in
     /// `scratch.vector` so its entry storage is reused across URLs: a
-    /// warm extraction performs **zero heap allocations**.
+    /// warm extraction performs **zero heap allocations**, for every
+    /// feature family.
     pub fn extract_into(&self, url: &str, scratch: &mut ExtractScratch) {
         match self {
             CompiledTransform::Words { vocab, tokenizer } => {
@@ -102,6 +133,7 @@ impl CompiledTransform {
                 }
                 vector.refill_from_index_buffer(indices);
             }
+            CompiledTransform::Custom(custom) => custom.extract_into(url, scratch),
         }
     }
 }
@@ -109,6 +141,7 @@ impl CompiledTransform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::custom::CustomFeatureExtractor;
     use crate::dataset::LabeledUrl;
     use crate::extractor::FeatureExtractor;
     use crate::trigrams::TrigramFeatureExtractor;
@@ -166,6 +199,34 @@ mod tests {
                 ex.transform_with(url, &mut s2),
                 "{url}"
             );
+        }
+    }
+
+    #[test]
+    fn compiled_custom_matches_transform_exactly_for_both_sets() {
+        for mut ex in [
+            CustomFeatureExtractor::default(),
+            CustomFeatureExtractor::full(),
+        ] {
+            ex.fit(&training());
+            let compiled = ex.compile_transform().expect("custom compiles");
+            assert_eq!(compiled.dim(), ex.dim());
+            assert_eq!(compiled.kind(), FeatureSetKind::Custom);
+            let mut scratch = ExtractScratch::new();
+            for url in probe_urls().into_iter().chain([
+                "HTTP://De.Wikipedia.ORG./Wiki/Berlin?Stadt=Paris#Top",
+                "http://user:pw@fr.search.example.com:8080/recherche/de/",
+                "http://wetter.example.COM",
+                "https://www.example.gov/index.html?q=html",
+                "http://shop.de-x/a-b-c/1-2",
+                "no host here/but/paths?and=queries",
+                "?only=query",
+                "  http://padded.it/roma  ",
+                "http://example.org:notaport/x//y/",
+            ]) {
+                compiled.extract_into(url, &mut scratch);
+                assert_eq!(scratch.vector, ex.transform(url), "{url}");
+            }
         }
     }
 

@@ -15,16 +15,31 @@
 //! 74 features is necessarily a reconstruction (the paper lists the
 //! ingredients but not every variant); the reconstruction uses exactly the
 //! ingredients named in the paper and reproduces the documented count.
+//!
+//! Two implementations compute the same vector. [`CustomFeatureExtractor::transform`]
+//! is the interpreted one: it tokenises into owned token lists and
+//! probes every dictionary of every language per token. It vectorises
+//! the training set and is the oracle the compiled form is tested
+//! against. [`CompiledCustom`], built by
+//! [`FeatureExtractor::compile_transform`], is what scoring runs: one
+//! interned table of every word the feature set reads, one probe per
+//! letter run, counts on the stack and no allocation per URL.
 
+use crate::compiled::CompiledTransform;
 use crate::dataset::LabeledUrl;
 use crate::extractor::{FeatureExtractor, FeatureSetKind, ShardedFit};
+use crate::intern::InternedVocabulary;
+use crate::scratch::ExtractScratch;
 use crate::vector::SparseVector;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use urlid_lexicon::{
     stopwords, CcTldTable, Dictionary, DictionarySet, Language, TrainedDictionary,
     TrainedDictionaryBuilder, ALL_LANGUAGES,
 };
-use urlid_tokenize::{ParsedUrl, Tokenizer, TokenizerConfig};
+use urlid_mapped::Lane;
+use urlid_tokenize::token::{MIN_TOKEN_LEN, SPECIAL_WORDS};
+use urlid_tokenize::{ParsedUrl, Tokenizer, TokenizerConfig, UrlParts};
 
 /// Number of per-language feature slots.
 pub const PER_LANGUAGE_FEATURES: usize = 12;
@@ -53,6 +68,16 @@ impl CustomFeatureSet {
         match self {
             CustomFeatureSet::Full74 => NUM_CUSTOM_FEATURES,
             CustomFeatureSet::Selected15 => NUM_SELECTED_FEATURES,
+        }
+    }
+
+    /// Name of a feature index in this set.
+    pub fn feature_name(self, index: u32) -> Option<String> {
+        match self {
+            CustomFeatureSet::Full74 => CustomFeatureExtractor::full_feature_name(index as usize),
+            CustomFeatureSet::Selected15 => CustomFeatureExtractor::selected_indices()
+                .get(index as usize)
+                .and_then(|&i| CustomFeatureExtractor::full_feature_name(i)),
         }
     }
 }
@@ -331,13 +356,12 @@ impl FeatureExtractor for CustomFeatureExtractor {
         self.feature_set.dim()
     }
 
+    fn compile_transform(&self) -> Option<CompiledTransform> {
+        Some(CompiledTransform::Custom(CompiledCustom::new(self)))
+    }
+
     fn feature_name(&self, index: u32) -> Option<String> {
-        match self.feature_set {
-            CustomFeatureSet::Full74 => Self::full_feature_name(index as usize),
-            CustomFeatureSet::Selected15 => Self::selected_indices()
-                .get(index as usize)
-                .and_then(|&i| Self::full_feature_name(i)),
-        }
+        self.feature_set.feature_name(index)
     }
 
     fn kind(&self) -> FeatureSetKind {
@@ -367,6 +391,327 @@ impl ShardedFit for CustomFeatureExtractor {
 
     fn finish_fit(&mut self, merged: Option<TrainedDictionaryBuilder>) {
         self.trained = merged.unwrap_or_default().build();
+    }
+}
+
+/// Bit layout of [`CompiledCustom`]'s per-word masks.
+mod bit {
+    /// Word dictionary of language `l`: bit `WORDS + l`.
+    pub const WORDS: u32 = 0;
+    /// City dictionary of language `l`.
+    pub const CITIES: u32 = 5;
+    /// Trained dictionary of language `l`.
+    pub const TRAINED: u32 = 10;
+    /// Stop-word list of language `l`.
+    pub const STOPWORDS: u32 = 15;
+    /// The dictionary bits above, 4 × 5 of them.
+    pub const DICTIONARIES: usize = 20;
+    /// "Is a ccTLD of language `l`".
+    pub const CCTLD: u32 = 20;
+    /// The generic TLDs.
+    pub const COM: u32 = 25;
+    pub const ORG: u32 = 26;
+    pub const NET: u32 = 27;
+    /// One of the paper tokenizer's special words.
+    pub const SPECIAL: u32 = 28;
+
+    /// The five bits of one per-language group.
+    pub const fn languages(group: u32) -> u32 {
+        0b1_1111 << group
+    }
+
+    /// The mask of bit `b`.
+    pub const fn of(b: u32) -> u32 {
+        1 << b
+    }
+}
+
+/// The compiled form of a fitted [`CustomFeatureExtractor`].
+///
+/// Every word a configured feature reads — from the word, city,
+/// stop-word and trained dictionaries of all five languages, plus the
+/// ccTLD codes — is interned once into an [`InternedVocabulary`], with a
+/// parallel lane of membership bitmasks (one bit per language per
+/// dictionary, one per language for "is a ccTLD of this language"). A
+/// letter run then costs one probe, where the interpreted extractor
+/// pays one hash lookup per dictionary per language.
+///
+/// Tokens are maximal ASCII-letter runs, so the paper tokenizer's
+/// stream is the lossless stream minus runs shorter than two letters
+/// and minus the special words: one walk over the host's runs and one
+/// over path + query feeds both, with the counts on the stack.
+/// [`CompiledCustom::extract_into`] produces exactly the vector
+/// [`CustomFeatureExtractor::transform`] produces, and a warm
+/// extraction allocates nothing.
+#[derive(Debug, Clone)]
+pub struct CompiledCustom {
+    feature_set: CustomFeatureSet,
+    /// The source table's ccTLD+ switch (`.com`/`.org` count as English
+    /// for the plain TLD feature).
+    com_org_as_english: bool,
+    words: InternedVocabulary,
+    /// `masks[i]` holds the `bit` flags of interned word `i`.
+    masks: Lane<u32>,
+}
+
+/// What the letter runs of one region (the host, or path + query)
+/// contribute.
+#[derive(Default)]
+struct RegionCounts {
+    /// Union of the masks of every letter run (the lossless tokens).
+    seen: u32,
+    /// Mask of the last letter run.
+    last: u32,
+    /// Paper tokens, their total and their largest length.
+    tokens: usize,
+    token_len_sum: usize,
+    token_len_max: usize,
+    /// Paper tokens per dictionary bit.
+    hits: [u32; bit::DICTIONARIES],
+}
+
+impl RegionCounts {
+    /// Paper tokens in dictionary `group` (a `bit` constant) of `lang`.
+    fn count(&self, group: u32, lang: Language) -> f64 {
+        self.hits[(group as usize) + lang.index()] as f64
+    }
+}
+
+/// The distinct words of a [`CompiledCustom`] table and their masks,
+/// while it is being built.
+struct TableBuilder<'a> {
+    index: HashMap<&'a str, usize>,
+    names: Vec<&'a str>,
+    masks: Vec<u32>,
+}
+
+impl<'a> TableBuilder<'a> {
+    fn with_capacity(words: usize) -> Self {
+        Self {
+            index: HashMap::with_capacity(words),
+            names: Vec::with_capacity(words),
+            masks: Vec::with_capacity(words),
+        }
+    }
+
+    fn mark(&mut self, word: &'a str, flag: u32) {
+        // Tokens are lowercase ASCII-letter runs; no other entry can
+        // ever be probed.
+        if word.is_empty() || !word.bytes().all(|b| b.is_ascii_lowercase()) {
+            return;
+        }
+        let i = *self.index.entry(word).or_insert_with(|| {
+            self.names.push(word);
+            self.masks.push(0);
+            self.names.len() - 1
+        });
+        self.masks[i] |= bit::of(flag);
+    }
+}
+
+impl CompiledCustom {
+    /// Intern the dictionaries `extractor`'s feature set reads.
+    pub fn new(extractor: &CustomFeatureExtractor) -> Self {
+        // The selected 15 read only the word and trained dictionaries
+        // and the ccTLD codes; the city and stop-word counts exist in
+        // the full set only.
+        let full = extractor.feature_set == CustomFeatureSet::Full74;
+        let mut table = TableBuilder::with_capacity(
+            ALL_LANGUAGES
+                .iter()
+                .map(|&lang| {
+                    extractor.word_dicts.get(lang).len() + extractor.trained.dictionary(lang).len()
+                })
+                .sum(),
+        );
+        for lang in ALL_LANGUAGES {
+            let l = lang.index() as u32;
+            for word in extractor.word_dicts.get(lang).iter() {
+                table.mark(word, bit::WORDS + l);
+            }
+            for word in extractor.trained.dictionary(lang).iter() {
+                table.mark(word, bit::TRAINED + l);
+            }
+            if full {
+                for word in extractor.city_dicts.get(lang).iter() {
+                    table.mark(word, bit::CITIES + l);
+                }
+                for word in extractor.stopword_dicts.get(lang).iter() {
+                    table.mark(word, bit::STOPWORDS + l);
+                }
+            }
+            for code in CcTldTable::cctlds_for(lang) {
+                table.mark(code, bit::CCTLD + l);
+            }
+        }
+        for (tld, flag) in [("com", bit::COM), ("org", bit::ORG), ("net", bit::NET)] {
+            table.mark(tld, flag);
+        }
+        for word in SPECIAL_WORDS {
+            table.mark(word, bit::SPECIAL);
+        }
+        Self {
+            feature_set: extractor.feature_set,
+            com_org_as_english: extractor.cctld.com_org_as_english,
+            words: InternedVocabulary::from_names(table.names),
+            masks: Lane::from_vec(table.masks),
+        }
+    }
+
+    /// Which feature set the transform produces.
+    pub fn feature_set(&self) -> CustomFeatureSet {
+        self.feature_set
+    }
+
+    /// Dimensionality of the feature set.
+    pub fn dim(&self) -> usize {
+        self.feature_set.dim()
+    }
+
+    /// The mask of one letter run, lowercased through `lower` only when
+    /// it has an uppercase letter.
+    fn mask_of(&self, run: &str, lower: &mut String) -> u32 {
+        let key = if run.bytes().any(|b| b.is_ascii_uppercase()) {
+            lower.clear();
+            lower.push_str(run);
+            lower.make_ascii_lowercase();
+            lower.as_bytes()
+        } else {
+            run.as_bytes()
+        };
+        self.words.get(key).map_or(0, |i| self.masks[i as usize])
+    }
+
+    /// Walk the maximal ASCII-letter runs of `text` into `region`.
+    fn scan(&self, text: &str, lower: &mut String, region: &mut RegionCounts) {
+        let bytes = text.as_bytes();
+        let mut end = 0;
+        while end < bytes.len() {
+            if !bytes[end].is_ascii_alphabetic() {
+                end += 1;
+                continue;
+            }
+            let start = end;
+            while end < bytes.len() && bytes[end].is_ascii_alphabetic() {
+                end += 1;
+            }
+            let run = &text[start..end];
+            let mask = self.mask_of(run, lower);
+            region.seen |= mask;
+            region.last = mask;
+            // The paper tokenizer's filter.
+            if run.len() < MIN_TOKEN_LEN || mask & bit::of(bit::SPECIAL) != 0 {
+                continue;
+            }
+            region.tokens += 1;
+            region.token_len_sum += run.len();
+            region.token_len_max = region.token_len_max.max(run.len());
+            let mut dictionaries = mask & (bit::of(bit::DICTIONARIES as u32) - 1);
+            while dictionaries != 0 {
+                region.hits[dictionaries.trailing_zeros() as usize] += 1;
+                dictionaries &= dictionaries - 1;
+            }
+        }
+    }
+
+    /// Map a URL to its feature vector in `scratch.vector`, exactly as
+    /// [`CustomFeatureExtractor::transform`] does, without allocating
+    /// once the scratch is warm.
+    pub fn extract_into(&self, url: &str, scratch: &mut ExtractScratch) {
+        let parts = UrlParts::split(url);
+        let mut host = RegionCounts::default();
+        let mut path = RegionCounts::default();
+        self.scan(parts.host(), &mut scratch.token, &mut host);
+        self.scan(parts.path(), &mut scratch.token, &mut path);
+        if let Some(query) = parts.query() {
+            self.scan(query, &mut scratch.token, &mut path);
+        }
+
+        // A TLD that can be a ccTLD or com/org/net at all is all
+        // letters, and then it is the host's last letter run.
+        let tld = parts.tld();
+        let tld_bits = match tld {
+            Some(t) if t.bytes().all(|b| b.is_ascii_alphabetic()) => host.last,
+            _ => 0,
+        };
+        let tld_cctlds = tld_bits & bit::languages(bit::CCTLD);
+        let tld_lang = if tld_cctlds != 0 {
+            Some((tld_cctlds >> bit::CCTLD).trailing_zeros() as usize)
+        } else if self.com_org_as_english && tld_bits & (bit::of(bit::COM) | bit::of(bit::ORG)) != 0
+        {
+            Some(Language::English.index())
+        } else {
+            None
+        };
+
+        // Only the slots the configured set reads are meaningful: the
+        // table holds just the dictionaries those slots count.
+        let mut f = [0.0f64; NUM_CUSTOM_FEATURES];
+        for lang in ALL_LANGUAGES {
+            let base = lang.index() * PER_LANGUAGE_FEATURES;
+            let cctld = bit::of(bit::CCTLD + lang.index() as u32);
+            f[base + slot::TLD_SIMPLE] = (tld_lang == Some(lang.index())) as u8 as f64;
+            f[base + slot::TLD_BEFORE_SLASH] = (host.seen & cctld != 0) as u8 as f64;
+            f[base + slot::CC_IN_PATH] = (path.seen & cctld != 0) as u8 as f64;
+            f[base + slot::WORDS_HOST] = host.count(bit::WORDS, lang);
+            f[base + slot::WORDS_PATH] = path.count(bit::WORDS, lang);
+            f[base + slot::WORDS_TOTAL] =
+                host.count(bit::WORDS, lang) + path.count(bit::WORDS, lang);
+            f[base + slot::CITIES_HOST] = host.count(bit::CITIES, lang);
+            f[base + slot::CITIES_TOTAL] =
+                host.count(bit::CITIES, lang) + path.count(bit::CITIES, lang);
+            f[base + slot::TRAINED_HOST] = host.count(bit::TRAINED, lang);
+            f[base + slot::TRAINED_PATH] = path.count(bit::TRAINED, lang);
+            f[base + slot::TRAINED_TOTAL] =
+                host.count(bit::TRAINED, lang) + path.count(bit::TRAINED, lang);
+            f[base + slot::STOPWORDS_TOTAL] =
+                host.count(bit::STOPWORDS, lang) + path.count(bit::STOPWORDS, lang);
+        }
+
+        let g = 5 * PER_LANGUAGE_FEATURES;
+        f[g] = (tld_bits & bit::of(bit::COM) != 0) as u8 as f64;
+        f[g + 1] = (tld_bits & bit::of(bit::ORG) != 0) as u8 as f64;
+        f[g + 2] = (tld_bits & bit::of(bit::NET) != 0) as u8 as f64;
+        // Hyphens and digits count over the raw, untrimmed input.
+        let (mut hyphens, mut digits) = (0usize, 0usize);
+        for b in url.bytes() {
+            hyphens += (b == b'-') as usize;
+            digits += b.is_ascii_digit() as usize;
+        }
+        f[g + 3] = hyphens as f64;
+        let tokens = host.tokens + path.tokens;
+        f[g + 4] = tokens as f64;
+        f[g + 5] = host.tokens as f64;
+        f[g + 6] = path.tokens as f64;
+        // The one feature that is not a count or a flag: the
+        // interpreted expression, on the same integers.
+        f[g + 7] = if tokens == 0 {
+            0.0
+        } else {
+            (host.token_len_sum + path.token_len_sum) as f64 / tokens as f64
+        };
+        f[g + 8] = host.token_len_max.max(path.token_len_max) as f64;
+        f[g + 9] = url.len() as f64;
+        f[g + 10] = parts.path_depth() as f64;
+        f[g + 11] = digits as f64;
+        f[g + 12] = parts.query().is_some() as u8 as f64;
+        let tld_known = tld_bits
+            & (bit::languages(bit::CCTLD)
+                | bit::of(bit::COM)
+                | bit::of(bit::ORG)
+                | bit::of(bit::NET))
+            != 0;
+        f[g + 13] = (tld.is_some() && !tld_known) as u8 as f64;
+
+        match self.feature_set {
+            CustomFeatureSet::Full74 => scratch.vector.refill_from_dense(&f),
+            CustomFeatureSet::Selected15 => {
+                let selected = CustomFeatureExtractor::selected_indices();
+                let projected: [f64; NUM_SELECTED_FEATURES] =
+                    std::array::from_fn(|k| f[selected[k]]);
+                scratch.vector.refill_from_dense(&projected);
+            }
+        }
     }
 }
 

@@ -96,11 +96,11 @@ pub trait FeatureExtractor: Send + Sync {
     /// extracts through. Must produce exactly the same vectors as
     /// [`FeatureExtractor::transform_with`] on every URL.
     ///
-    /// The default returns `None` (stay interpreted); the word and
-    /// trigram extractors override it. Extractors whose transform is not
-    /// a vocabulary lookup — the custom features, instrumented test
-    /// wrappers — keep the default so the plane falls back to the trait
-    /// object for extraction.
+    /// The default returns `None` (stay interpreted); the word, trigram
+    /// and custom extractors override it. Extractors that do not lower —
+    /// the raw-URL trigram ablation, instrumented test wrappers — keep
+    /// the default so the plane falls back to the trait object for
+    /// extraction.
     fn compile_transform(&self) -> Option<CompiledTransform> {
         None
     }

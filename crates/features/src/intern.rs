@@ -77,23 +77,29 @@ pub struct InternParts<'a> {
 impl InternedVocabulary {
     /// Intern a frozen [`Vocabulary`]. Indices are preserved exactly.
     pub fn from_vocabulary(vocabulary: &Vocabulary) -> Self {
-        let len = vocabulary.len();
-        if len == 0 {
-            return Self::default();
-        }
-        let mut arena = Vec::new();
-        let mut bounds = Vec::with_capacity(len + 1);
-        let mut hashes = Vec::with_capacity(len);
-        bounds.push(0u32);
         // `Vocabulary::iter` yields (index, name) in ascending dense
-        // index order by construction, so appending in iteration order
-        // lays the arena out index-ordered (the debug_assert guards the
+        // index order by construction, so interning in iteration order
+        // preserves every index (the debug_assert guards the
         // assumption).
-        for (i, name) in vocabulary.iter() {
-            debug_assert_eq!(i as usize + 1, bounds.len(), "dense index order");
+        Self::from_names(vocabulary.iter().enumerate().map(|(position, (i, name))| {
+            debug_assert_eq!(i as usize, position, "dense index order");
+            name
+        }))
+    }
+
+    /// Intern distinct names; the `i`-th name gets index `i`.
+    pub fn from_names<'a>(names: impl IntoIterator<Item = &'a str>) -> Self {
+        let mut arena = Vec::new();
+        let mut bounds = vec![0u32];
+        let mut hashes = Vec::new();
+        for name in names {
             arena.extend_from_slice(name.as_bytes());
             bounds.push(arena.len() as u32);
             hashes.push(hash_bytes(name.as_bytes()));
+        }
+        let len = hashes.len();
+        if len == 0 {
+            return Self::default();
         }
         // ≤ 50% load factor keeps probe chains short.
         let capacity = (len * 2).next_power_of_two().max(8);

@@ -1,6 +1,6 @@
 //! Extractors restored from the `.urlm` binary model format.
 //!
-//! A packed model does not persist the training-time word/trigram
+//! A packed word or trigram model does not persist the training-time
 //! extractor (a `HashMap<String, u32>` vocabulary that would need
 //! re-hashing at load): it persists the [`CompiledTransform`]'s arrays
 //! and rebuilds extraction on top of them. [`RestoredExtractor`] is the
@@ -8,6 +8,10 @@
 //! binary-loaded classifier set keeps the full extractor API —
 //! `transform` for the interpreted oracle, `compile_transform` for the
 //! plane — while sharing the zero-copy interned vocabulary.
+//!
+//! Custom-feature models never come through here: their extractor (the
+//! trained dictionaries) travels whole in the file's META section, and
+//! its compiled table is rebuilt from it at load.
 //!
 //! The compiled transform is proven bit-identical to the source
 //! extractor's `transform_with` (module tests in [`crate::compiled`]
@@ -43,16 +47,19 @@ pub enum TransformMeta {
 }
 
 impl TransformMeta {
-    /// Extract the meta of a transform (dropping the vocabulary).
-    pub fn of(transform: &CompiledTransform) -> TransformMeta {
+    /// Extract the meta of a word or trigram transform (dropping the
+    /// vocabulary). `None` for the custom transform, which persists as
+    /// its source extractor instead.
+    pub fn of(transform: &CompiledTransform) -> Option<TransformMeta> {
         match transform {
-            CompiledTransform::Words { tokenizer, .. } => TransformMeta::Words {
+            CompiledTransform::Words { tokenizer, .. } => Some(TransformMeta::Words {
                 tokenizer: tokenizer.clone(),
-            },
-            CompiledTransform::Trigrams { tokenizer, n, .. } => TransformMeta::Trigrams {
+            }),
+            CompiledTransform::Trigrams { tokenizer, n, .. } => Some(TransformMeta::Trigrams {
                 tokenizer: tokenizer.clone(),
                 n: *n,
-            },
+            }),
+            CompiledTransform::Custom(_) => None,
         }
     }
 
@@ -131,14 +138,12 @@ impl FeatureExtractor for RestoredExtractor {
             CompiledTransform::Trigrams { vocab, n, .. } => {
                 vocab.name(index).map(|s| format!("{n}gram:{s:?}"))
             }
+            CompiledTransform::Custom(custom) => custom.feature_set().feature_name(index),
         }
     }
 
     fn kind(&self) -> FeatureSetKind {
-        match &self.transform {
-            CompiledTransform::Words { .. } => FeatureSetKind::Words,
-            CompiledTransform::Trigrams { .. } => FeatureSetKind::Trigrams,
-        }
+        self.transform.kind()
     }
 }
 
@@ -196,15 +201,15 @@ mod tests {
                 FeatureSetKind::Trigrams,
             ),
         ] {
-            let meta = TransformMeta::of(&t);
+            let meta = TransformMeta::of(&t).expect("words and trigrams have a meta");
             assert_eq!(meta.kind(), kind);
             let json = serde_json::to_string(&meta).unwrap();
             let back: TransformMeta = serde_json::from_str(&json).unwrap();
             // Rebuild over the same vocabulary and compare extraction.
-            let vocab = match &t {
-                CompiledTransform::Words { vocab, .. } => vocab.clone(),
-                CompiledTransform::Trigrams { vocab, .. } => vocab.clone(),
-            };
+            let vocab = t
+                .feature_vocabulary()
+                .expect("a feature vocabulary")
+                .clone();
             let rebuilt = back.into_transform(vocab);
             let mut s1 = ExtractScratch::new();
             let mut s2 = ExtractScratch::new();
@@ -212,6 +217,16 @@ mod tests {
                 assert_eq!(rebuilt.extract(url, &mut s1), t.extract(url, &mut s2));
             }
         }
+    }
+
+    #[test]
+    fn custom_transforms_persist_as_their_extractor() {
+        let t = crate::CustomFeatureExtractor::default()
+            .compile_transform()
+            .unwrap();
+        assert!(TransformMeta::of(&t).is_none());
+        assert!(t.feature_vocabulary().is_none());
+        assert_eq!(t.kind(), FeatureSetKind::Custom);
     }
 
     #[test]

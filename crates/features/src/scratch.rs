@@ -14,7 +14,9 @@
 /// Reusable buffers threaded through [`crate::FeatureExtractor::transform_with`].
 #[derive(Debug, Default)]
 pub struct ExtractScratch {
-    /// Lowercased-token buffer (reused across tokens and URLs).
+    /// Lowercased-token buffer (reused across tokens and URLs; the
+    /// compiled custom transform lowercases mixed-case letter runs into
+    /// it).
     pub token: String,
     /// Padded-token buffer for n-gram windows.
     pub padded: String,
@@ -22,7 +24,7 @@ pub struct ExtractScratch {
     pub indices: Vec<u32>,
     /// Reusable output vector for compiled extraction
     /// ([`crate::CompiledTransform::extract_into`]): with it, a warm
-    /// word/trigram extraction allocates nothing at all.
+    /// word, trigram or custom extraction allocates nothing at all.
     pub vector: crate::SparseVector,
     /// Rank-order scoring scratch (the rank-sorted view of a vector).
     pub ranked: Vec<(u32, f64)>,

@@ -85,6 +85,19 @@ impl SparseVector {
         }
     }
 
+    /// Rebuild this vector in place from a dense slice, keeping the
+    /// non-zero values. Produces exactly the vector
+    /// `from_pairs(dense.enumerate().filter(non-zero))` produces, but
+    /// reuses this vector's entry storage.
+    pub fn refill_from_dense(&mut self, dense: &[f64]) {
+        self.entries.clear();
+        for (i, &v) in dense.iter().enumerate() {
+            if v != 0.0 {
+                self.entries.push((i as u32, v));
+            }
+        }
+    }
+
     /// Number of non-zero entries.
     pub fn nnz(&self) -> usize {
         self.entries.len()
@@ -275,6 +288,21 @@ mod tests {
         v.refill_from_index_buffer(&mut [4, 4, 1]);
         assert_eq!(v.entries.capacity(), capacity);
         assert_eq!(v.get(4), 2.0);
+    }
+
+    #[test]
+    fn refill_from_dense_matches_from_pairs() {
+        let mut v = SparseVector::from_counts(vec![5, 5, 6]);
+        for dense in [
+            vec![],
+            vec![0.0, 0.0],
+            vec![1.0, 0.0, 2.5, 0.0, 3.0],
+            vec![0.0, 7.0],
+        ] {
+            v.refill_from_dense(&dense);
+            let pairs = dense.iter().enumerate().map(|(i, &x)| (i as u32, x));
+            assert_eq!(v, SparseVector::from_pairs(pairs), "{dense:?}");
+        }
     }
 
     #[test]

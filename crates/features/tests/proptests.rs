@@ -1,10 +1,11 @@
 //! Property-based tests for feature extraction invariants.
 
 use proptest::prelude::*;
+use std::sync::OnceLock;
 use urlid_features::{
-    custom::NUM_CUSTOM_FEATURES, shard_slices, CustomFeatureExtractor, Dataset, FeatureExtractor,
-    LabeledUrl, ShardedFit, SparseVector, TrigramFeatureExtractor, VocabularyBuilder,
-    WordFeatureExtractor,
+    custom::NUM_CUSTOM_FEATURES, shard_slices, CompiledTransform, CustomFeatureExtractor, Dataset,
+    ExtractScratch, FeatureExtractor, LabeledUrl, ShardedFit, SparseVector,
+    TrigramFeatureExtractor, VocabularyBuilder, WordFeatureExtractor,
 };
 use urlid_lexicon::Language;
 
@@ -25,6 +26,122 @@ fn small_training() -> Vec<LabeledUrl> {
         LabeledUrl::new("http://www.tiempo-noticias.es/madrid", Language::Spanish),
         LabeledUrl::new("http://www.previsioni-meteo.it/roma", Language::Italian),
     ]
+}
+
+/// The full and the selected custom extractor, fitted (so the trained
+/// dictionaries are non-empty), each with its compiled transform. Built
+/// once and shared by every case.
+fn fitted_custom() -> &'static [(CustomFeatureExtractor, CompiledTransform); 2] {
+    static FITTED: OnceLock<[(CustomFeatureExtractor, CompiledTransform); 2]> = OnceLock::new();
+    FITTED.get_or_init(|| {
+        [
+            CustomFeatureExtractor::full(),
+            CustomFeatureExtractor::default(),
+        ]
+        .map(|mut ex| {
+            ex.fit(&small_training());
+            let compiled = ex.compile_transform().expect("custom features compile");
+            (ex, compiled)
+        })
+    })
+}
+
+/// Pick one entry of `options` by a drawn index.
+fn pick(options: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
+    (0..options.len()).prop_map(move |i| options[i])
+}
+
+/// URL-shaped strings built from the pieces the custom features are
+/// sensitive to: schemes, userinfo, mixed-case and IP hosts, two-letter
+/// ccTLD labels, special words, ports, trailing dots, paths, a query
+/// with or without a path, and fragments.
+fn url_shaped() -> impl Strategy<Value = String> {
+    const SCHEMES: &[&str] = &["", "http://", "HTTPS://", "Http://", "ftp://", "x+y-z://"];
+    const USERINFO: &[&str] = &["", "user@", "User:Pw@", "a@b@"];
+    const LABELS: &[&str] = &[
+        "www",
+        "WWW",
+        "wetter",
+        "Bericht",
+        "meteo",
+        "London",
+        "de",
+        "FR",
+        "it",
+        "es",
+        "co",
+        "uk",
+        "gov",
+        "index",
+        "html",
+        "http",
+        "a",
+        "x1",
+        "192",
+        "168",
+        "0",
+        "xn--mnchen-3ya",
+        "news-24",
+        "com",
+        "berlin",
+    ];
+    const TLDS: &[&str] = &[
+        "de", "DE", "fr", "It", "com", "Org", "net", "gov", "mil", "info", "co", "uk", "12", "x-y",
+        "d3", "",
+    ];
+    const PORTS: &[&str] = &["", ":8080", ":", ":notaport", ":+80", ":99999"];
+    const TRAILING: &[&str] = &["", ".", ".."];
+    const PATHS: &[&str] = &[
+        "",
+        "/",
+        "/Wiki/Berlin",
+        "/de/fr",
+        "/index.html",
+        "//a//b/",
+        "/http/www",
+        "/a-b_c/1-2",
+        "/Wetter/ES/",
+        "/meteo?",
+        "/x.Y/Z",
+    ];
+    const QUERIES: &[&str] = &["", "?", "?q=Paris&l=de", "?html=www", "?Stadt=Wien#x"];
+    const FRAGMENTS: &[&str] = &["", "#", "#Top", "#a?b", "#/de/fr"];
+    (
+        (
+            pick(SCHEMES),
+            pick(USERINFO),
+            proptest::collection::vec(pick(LABELS), 0..4),
+        ),
+        (pick(TLDS), pick(TRAILING), pick(PORTS)),
+        (pick(PATHS), pick(QUERIES), pick(FRAGMENTS)),
+    )
+        .prop_map(
+            |((scheme, userinfo, labels), (tld, trailing, port), (path, query, fragment))| {
+                let mut url = format!("{scheme}{userinfo}");
+                for label in labels {
+                    url.push_str(label);
+                    url.push('.');
+                }
+                format!("{url}{tld}{trailing}{port}{path}{query}{fragment}")
+            },
+        )
+}
+
+/// The compiled custom transform of both feature sets equals the
+/// interpreted one on `url`, bit for bit, through a reused scratch.
+fn assert_compiled_custom_matches(url: &str, scratch: &mut ExtractScratch) {
+    for (extractor, compiled) in fitted_custom() {
+        compiled.extract_into(url, scratch);
+        let interpreted = extractor.transform(url);
+        assert_eq!(scratch.vector.nnz(), interpreted.nnz(), "{url:?}");
+        for ((ci, cv), (ii, iv)) in scratch.vector.iter().zip(interpreted.iter()) {
+            assert!(
+                ci == ii && cv.to_bits() == iv.to_bits(),
+                "{:?}/{url:?}: compiled ({ci}, {cv}) vs interpreted ({ii}, {iv})",
+                extractor.feature_set()
+            );
+        }
+    }
 }
 
 proptest! {
@@ -77,17 +194,22 @@ proptest! {
     }
 
     /// The custom extractor's full vector always has exactly 74 finite
-    /// entries and the selected-15 projection is consistent with it.
+    /// entries, the selected-15 projection is consistent with it, and
+    /// the compiled transform of both sets equals the interpreted one
+    /// bit for bit — on arbitrary strings and on URL-shaped ones.
     #[test]
-    fn custom_full_and_selected_are_consistent(url in ".{0,120}") {
-        let full = CustomFeatureExtractor::full();
-        let selected = CustomFeatureExtractor::default();
-        let f = full.extract_full(&url);
-        prop_assert_eq!(f.len(), NUM_CUSTOM_FEATURES);
-        prop_assert!(f.iter().all(|v| v.is_finite() && *v >= 0.0));
-        let s = selected.extract(&url);
-        for (k, &full_idx) in CustomFeatureExtractor::selected_indices().iter().enumerate() {
-            prop_assert_eq!(s[k], f[full_idx]);
+    fn custom_full_and_selected_are_consistent(url in ".{0,120}", shaped in url_shaped()) {
+        let [(full, _), (selected, _)] = fitted_custom();
+        let mut scratch = ExtractScratch::new();
+        for url in [&url, &shaped] {
+            let f = full.extract_full(url);
+            prop_assert_eq!(f.len(), NUM_CUSTOM_FEATURES);
+            prop_assert!(f.iter().all(|v| v.is_finite() && *v >= 0.0));
+            let s = selected.extract(url);
+            for (k, &full_idx) in CustomFeatureExtractor::selected_indices().iter().enumerate() {
+                prop_assert_eq!(s[k], f[full_idx]);
+            }
+            assert_compiled_custom_matches(url, &mut scratch);
         }
     }
 

@@ -18,9 +18,11 @@
 //! magic bytes (`--format` forces one where ambiguity matters).
 //!
 //! The argument parser is hand-rolled (no extra dependencies); every
-//! subcommand prints usage on `--help`. The binary lives in the
-//! `urlid-serve` crate (not `urlid` core) because the `serve` subcommand
-//! needs the serving layer, which itself depends on core.
+//! subcommand prints usage on `--help` and rejects flags it does not
+//! read, so a misspelt option fails instead of silently falling back to
+//! a default. The binary lives in the `urlid-serve` crate (not `urlid`
+//! core) because the `serve` subcommand needs the serving layer, which
+//! itself depends on core.
 
 use std::io::BufRead;
 use std::process::ExitCode;
@@ -90,10 +92,11 @@ USAGE:
 /// Flags that take no value: present or absent.
 const BOOLEAN_FLAGS: &[&str] = &["verbose"];
 
-/// A tiny `--key value` argument map (plus the boolean flags above).
+/// A tiny `--key value` argument list (plus the boolean flags above),
+/// in command-line order; a repeated flag's last value wins.
 #[derive(Debug, Default)]
 struct Args {
-    flags: std::collections::HashMap<String, String>,
+    flags: Vec<(String, String)>,
     positional: Vec<String>,
 }
 
@@ -108,14 +111,14 @@ impl Args {
                     return Err(USAGE.to_owned());
                 }
                 if BOOLEAN_FLAGS.contains(&key) {
-                    out.flags.insert(key.to_owned(), "true".to_owned());
+                    out.flags.push((key.to_owned(), "true".to_owned()));
                     i += 1;
                     continue;
                 }
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| format!("missing value for --{key}"))?;
-                out.flags.insert(key.to_owned(), value.clone());
+                out.flags.push((key.to_owned(), value.clone()));
                 i += 2;
             } else {
                 out.positional.push(a.clone());
@@ -126,18 +129,77 @@ impl Args {
     }
 
     fn get(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(|s| s.as_str())
+        self.flags
+            .iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
     }
 
     fn has(&self, key: &str) -> bool {
-        self.flags.contains_key(key)
+        self.get(key).is_some()
     }
 
     fn require(&self, key: &str) -> Result<&str, String> {
         self.get(key)
             .ok_or_else(|| format!("missing required flag --{key}\n\n{USAGE}"))
     }
+
+    /// Fail on the first flag `command` does not read.
+    fn check_flags(&self, command: &str, accepted: &[&str]) -> Result<(), String> {
+        match self
+            .flags
+            .iter()
+            .find(|(flag, _)| !accepted.contains(&flag.as_str()))
+        {
+            Some((flag, _)) => Err(format!(
+                "unknown flag --{flag} for urlid {command}\n\n{USAGE}"
+            )),
+            None => Ok(()),
+        }
+    }
 }
+
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Every subcommand, the flags it reads, and its handler.
+const COMMANDS: &[(&str, &[&str], Command)] = &[
+    ("generate", &["out", "seed", "scale", "jobs"], cmd_generate),
+    (
+        "train",
+        &[
+            "data",
+            "out",
+            "features",
+            "algorithm",
+            "seed",
+            "jobs",
+            "shards",
+            "verbose",
+        ],
+        cmd_train,
+    ),
+    ("identify", &["model", "format"], cmd_identify),
+    ("evaluate", &["model", "format", "data"], cmd_evaluate),
+    ("pack", &["model", "out"], cmd_pack),
+    ("inspect", &["model"], cmd_inspect),
+    ("loadtime", &["model", "format", "repeat"], cmd_loadtime),
+    (
+        "serve",
+        &[
+            "model",
+            "format",
+            "addr",
+            "reactors",
+            "max-inflight",
+            "cache-capacity",
+            "weights",
+            "telemetry",
+            "slow-ms",
+        ],
+        cmd_serve,
+    ),
+];
 
 fn parse_training_config(args: &Args) -> Result<TrainingConfig, String> {
     let features = match args.get("features").unwrap_or("words") {
@@ -477,17 +539,13 @@ fn run() -> Result<(), String> {
         return Err(USAGE.to_owned());
     };
     let args = Args::parse(&argv[1..])?;
-    match command.as_str() {
-        "generate" => cmd_generate(&args),
-        "train" => cmd_train(&args),
-        "identify" => cmd_identify(&args),
-        "evaluate" => cmd_evaluate(&args),
-        "pack" => cmd_pack(&args),
-        "inspect" => cmd_inspect(&args),
-        "loadtime" => cmd_loadtime(&args),
-        "serve" => cmd_serve(&args),
-        "--help" | "help" => Err(USAGE.to_owned()),
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
+    match COMMANDS.iter().find(|(name, ..)| name == command) {
+        Some((name, accepted, handler)) => {
+            args.check_flags(name, accepted)?;
+            handler(&args)
+        }
+        None if command == "--help" || command == "help" => Err(USAGE.to_owned()),
+        None => Err(format!("unknown command {command:?}\n\n{USAGE}")),
     }
 }
 
@@ -611,6 +669,58 @@ mod tests {
             "generate", "train", "identify", "evaluate", "pack", "inspect", "loadtime", "serve",
         ] {
             assert!(USAGE.contains(cmd), "{cmd} missing from usage");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_per_subcommand() {
+        let accepted = |command: &str| {
+            COMMANDS
+                .iter()
+                .find(|(name, ..)| *name == command)
+                .map(|(_, flags, _)| *flags)
+                .unwrap()
+        };
+        // A misspelt flag no longer trains the default recipe.
+        let args = args_of(&[
+            "--data",
+            "d.json",
+            "--out",
+            "m.urlm",
+            "--feature",
+            "custom",
+            "--algoritm",
+            "dt",
+        ]);
+        let err = args.check_flags("train", accepted("train")).unwrap_err();
+        assert!(
+            err.starts_with("unknown flag --feature for urlid train"),
+            "{err}"
+        );
+        assert!(err.contains("USAGE"), "{err}");
+        // A flag of another subcommand is unknown here too.
+        let err = args_of(&["--model", "m.urlm", "--io", "uring"])
+            .check_flags("serve", accepted("serve"))
+            .unwrap_err();
+        assert!(
+            err.starts_with("unknown flag --io for urlid serve"),
+            "{err}"
+        );
+        // Every flag a subcommand reads is documented and accepted.
+        for (command, flags, _) in COMMANDS {
+            let mut parts = Vec::new();
+            for flag in *flags {
+                assert!(
+                    USAGE.contains(&format!("--{flag}")),
+                    "--{flag} undocumented"
+                );
+                parts.push(format!("--{flag}"));
+                if !BOOLEAN_FLAGS.contains(flag) {
+                    parts.push("x".to_owned());
+                }
+            }
+            let args = Args::parse(&parts).unwrap();
+            assert!(args.check_flags(command, flags).is_ok(), "{command}");
         }
     }
 }

@@ -20,9 +20,9 @@
 //! is still flushing, arriving bytes are buffered but not parsed,
 //! which both preserves response ordering for pipelined clients and
 //! bounds the per-connection memory (a flood past the cap closes the
-//! connection). Malformed or oversized input gets a `400`/`413` written
-//! out and the connection closed — a misbehaving peer can never panic
-//! or wedge anything.
+//! connection). Malformed, oversized or chunked input gets a
+//! `400`/`413`/`501` written out and the connection closed — a
+//! misbehaving peer can never panic or wedge anything.
 
 use crate::http::{self, HttpError, ParserLimits, Request, RequestParser};
 use crate::metrics::{ReactorStats, TRACE_STRIPES};
@@ -397,6 +397,7 @@ impl Conn {
             }
             Err(HttpError::Malformed(m)) => self.reject(io, 400, &m, now),
             Err(HttpError::TooLarge(m)) => self.reject(io, 413, &m, now),
+            Err(HttpError::NotImplemented(m)) => self.reject(io, 501, &m, now),
             Err(HttpError::Io(_)) => Step::Close,
         }
     }

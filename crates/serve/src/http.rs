@@ -7,7 +7,11 @@
 //! keep-alive connections (a slow client costs buffer space, never a
 //! thread). It implements exactly the subset the serving layer needs:
 //! request-line + headers + `Content-Length` bodies, keep-alive, and
-//! pipelined back-to-back requests.
+//! pipelined back-to-back requests. Anything that would make the body's
+//! extent ambiguous is refused rather than guessed at: a
+//! `Transfer-Encoding` gets `501` (RFC 9112 §6.1), and conflicting or
+//! non-numeric `Content-Length` values get `400` (RFC 9112 §6.3); both
+//! close the connection.
 //!
 //! The client side ([`write_request`] / [`read_response`]) stays
 //! blocking — the load generator and the integration tests drive plain
@@ -48,6 +52,9 @@ pub enum HttpError {
     Malformed(String),
     /// Headers or body exceed the configured limits.
     TooLarge(String),
+    /// The request uses a feature the parser does not implement (a
+    /// `Transfer-Encoding`).
+    NotImplemented(String),
 }
 
 impl From<io::Error> for HttpError {
@@ -62,6 +69,7 @@ impl std::fmt::Display for HttpError {
             HttpError::Io(e) => write!(f, "i/o error: {e}"),
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
             HttpError::TooLarge(m) => write!(f, "request too large: {m}"),
+            HttpError::NotImplemented(m) => write!(f, "not implemented: {m}"),
         }
     }
 }
@@ -214,7 +222,7 @@ impl RequestParser {
         // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
         let mut keep_alive = version == "HTTP/1.1";
         let mut accept = None;
-        let mut content_length = 0usize;
+        let mut content_length: Option<usize> = None;
         for line in lines {
             let trimmed = line.trim_end();
             if trimmed.is_empty() {
@@ -224,10 +232,24 @@ impl RequestParser {
                 return Err(HttpError::Malformed(format!("bad header {trimmed:?}")));
             };
             let value = value.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .parse()
-                    .map_err(|_| HttpError::Malformed(format!("bad content-length {value:?}")))?;
+            if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Err(HttpError::NotImplemented(format!(
+                    "transfer-encoding {value:?}; send a Content-Length body"
+                )));
+            } else if name.eq_ignore_ascii_case("content-length") {
+                // Digits only: `usize::from_str` would also take a `+`.
+                let length = match value.parse::<usize>() {
+                    Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
+                    _ => {
+                        return Err(HttpError::Malformed(format!(
+                            "bad content-length {value:?}"
+                        )))
+                    }
+                };
+                if content_length.is_some_and(|seen| seen != length) {
+                    return Err(HttpError::Malformed("conflicting content-length".into()));
+                }
+                content_length = Some(length);
             } else if name.eq_ignore_ascii_case("connection") {
                 if value.eq_ignore_ascii_case("close") {
                     keep_alive = false;
@@ -238,6 +260,7 @@ impl RequestParser {
                 accept = Some(value.to_owned());
             }
         }
+        let content_length = content_length.unwrap_or(0);
         if content_length > self.limits.max_body_bytes {
             return Err(HttpError::TooLarge(format!(
                 "body of {content_length} bytes"
@@ -304,6 +327,7 @@ fn reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
@@ -565,6 +589,43 @@ mod tests {
             assert!(
                 matches!(parse_all(bad), Err(HttpError::Malformed(_))),
                 "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn transfer_encoding_is_not_implemented() {
+        for wire in [
+            &b"POST /identify HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nbody\r\n0\r\n\r\n"
+                [..],
+            b"POST /identify HTTP/1.1\r\nContent-Length: 4\r\ntransfer-encoding: gzip\r\n\r\nbody",
+        ] {
+            assert!(
+                matches!(parse_all(wire), Err(HttpError::NotImplemented(_))),
+                "{:?}",
+                String::from_utf8_lossy(wire)
+            );
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_malformed() {
+        let wire = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 37\r\n\r\nhello";
+        assert!(matches!(parse_all(wire), Err(HttpError::Malformed(_))));
+        // A repeated identical value is the same length, not a conflict.
+        let reqs =
+            parse_all(b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
+                .unwrap();
+        assert_eq!(reqs[0].body, "hello");
+    }
+
+    #[test]
+    fn content_length_must_be_all_digits() {
+        for value in ["+37", "-1", "3 7", "0x10", "", "5, 5"] {
+            let wire = format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\n");
+            assert!(
+                matches!(parse_all(wire.as_bytes()), Err(HttpError::Malformed(_))),
+                "{value:?}"
             );
         }
     }

@@ -370,6 +370,38 @@ fn malformed_request_line_gets_400_and_close() {
     server.shutdown();
 }
 
+/// A chunked request is refused with exactly one `501`, then EOF: the
+/// chunk bytes must never be parsed as a second request. It counts as
+/// an error like the other protocol rejects.
+#[test]
+fn chunked_request_gets_one_501_and_close() {
+    let server = start_server(&ServeConfig::default());
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let body = "{\"url\": \"http://www.wetter.de/\"}";
+    let wire = format!(
+        "POST /identify HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{body}\r\n0\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(wire.as_bytes()).expect("chunked request");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream);
+    let (status, body) = http::read_response(&mut reader).expect("one response");
+    assert_eq!(status, 501, "{body}");
+    assert!(body.contains("error"), "{body}");
+    let mut rest = Vec::new();
+    let eof = reader.read_to_end(&mut rest);
+    assert!(
+        rest.is_empty(),
+        "a second response followed: {:?}",
+        String::from_utf8_lossy(&rest)
+    );
+    assert!(eof.is_ok(), "connection closes after the 501: {eof:?}");
+    assert_eq!(server.state().metrics().errors.load(Ordering::Relaxed), 1);
+    server.shutdown();
+}
+
 /// Graceful shutdown: a request the reactor is already scoring finishes
 /// and flushes before the server comes down; idle connections are
 /// closed; the listener stops accepting.

@@ -44,4 +44,4 @@ pub mod url;
 
 pub use ngram::{for_each_token_ngram, token_ngrams, token_trigrams, url_trigrams};
 pub use token::{tokenize_url, tokenize_url_lossless, TokenIter, Tokenizer, TokenizerConfig};
-pub use url::{ParsedUrl, UrlParseError};
+pub use url::{ParsedUrl, UrlParseError, UrlParts};

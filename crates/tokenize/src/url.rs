@@ -144,77 +144,15 @@ impl ParsedUrl {
     }
 
     fn parse_inner(url: &str) -> Self {
-        let raw = url.to_owned();
-        let trimmed = url.trim();
-
-        // Fragment.
-        let (before_frag, fragment) = match trimmed.split_once('#') {
-            Some((a, b)) => (a, Some(b.to_owned())),
-            None => (trimmed, None),
-        };
-        // Query.
-        let (before_query, query) = match before_frag.split_once('?') {
-            Some((a, b)) => (a, Some(b.to_owned())),
-            None => (before_frag, None),
-        };
-        // Scheme.
-        let (scheme, rest) = match before_query.find("://") {
-            Some(idx)
-                if before_query[..idx]
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '+' || c == '-' || c == '.')
-                    && idx > 0 =>
-            {
-                (
-                    Some(before_query[..idx].to_ascii_lowercase()),
-                    &before_query[idx + 3..],
-                )
-            }
-            _ => (None, before_query),
-        };
-        // Host[:port] / path split.
-        let (authority, path) = match rest.find('/') {
-            Some(idx) => (&rest[..idx], rest[idx..].to_owned()),
-            None => (rest, String::new()),
-        };
-        // Strip userinfo if present.
-        let authority = authority.rsplit('@').next().unwrap_or(authority);
-        let (host, port) = match authority.rsplit_once(':') {
-            // If the part after the colon is not a valid port number, drop
-            // it anyway: "example.com:notaport" still has host example.com.
-            Some((h, p)) => (h, p.parse::<u16>().ok()),
-            None => (authority, None),
-        };
-        let host = host.trim_end_matches('.').to_ascii_lowercase();
-
-        // A "host" that does not look like a hostname (no dot, or contains
-        // characters illegal in hostnames) is treated as part of the path.
-        let host_is_plausible = !host.is_empty()
-            && host
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '.' || c == '-')
-            && (host.contains('.') || scheme.is_some());
-
-        if host_is_plausible {
-            Self {
-                raw,
-                scheme,
-                host,
-                port,
-                path,
-                query,
-                fragment,
-            }
-        } else {
-            Self {
-                raw: raw.clone(),
-                scheme,
-                host: String::new(),
-                port: None,
-                path: before_query.to_owned(),
-                query,
-                fragment,
-            }
+        let parts = UrlParts::split(url);
+        Self {
+            raw: url.to_owned(),
+            scheme: parts.scheme.map(str::to_ascii_lowercase),
+            host: parts.host.to_ascii_lowercase(),
+            port: parts.port,
+            path: parts.path.to_owned(),
+            query: parts.query.map(str::to_owned),
+            fragment: parts.fragment.map(str::to_owned),
         }
     }
 
@@ -265,13 +203,7 @@ impl ParsedUrl {
     /// The top-level domain (last host label), if any, excluding purely
     /// numeric labels (IP addresses have no TLD).
     pub fn tld(&self) -> Option<&str> {
-        let labels = self.host_labels();
-        let last = labels.last()?;
-        if last.chars().all(|c| c.is_ascii_digit()) {
-            None
-        } else {
-            Some(*last)
-        }
+        tld_of(&self.host)
     }
 
     /// The registered domain per the paper's footnote 12: the public suffix
@@ -315,8 +247,168 @@ impl ParsedUrl {
 
     /// URL depth: number of non-empty path segments.
     pub fn path_depth(&self) -> usize {
-        self.path.split('/').filter(|s| !s.is_empty()).count()
+        path_depth_of(&self.path)
     }
+}
+
+/// The structural split of a URL, borrowed from the input: the
+/// allocation-free core of [`ParsedUrl::parse`], which owns (and
+/// lowercases) the same pieces. Hot paths that only read the pieces —
+/// the compiled custom-feature transform — split without allocating.
+///
+/// Unlike [`ParsedUrl`], the scheme and host keep the input's case.
+///
+/// ```
+/// use urlid_tokenize::UrlParts;
+/// let u = UrlParts::split("http://user@De.Wikipedia.org.:80/wiki/Berlin?x=1#top");
+/// assert_eq!(u.host(), "De.Wikipedia.org");
+/// assert_eq!(u.port(), Some(80));
+/// assert_eq!(u.tld(), Some("org"));
+/// assert_eq!(u.path(), "/wiki/Berlin");
+/// assert_eq!(u.query(), Some("x=1"));
+/// assert_eq!(u.fragment(), Some("top"));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UrlParts<'a> {
+    scheme: Option<&'a str>,
+    host: &'a str,
+    port: Option<u16>,
+    path: &'a str,
+    query: Option<&'a str>,
+    fragment: Option<&'a str>,
+}
+
+impl<'a> UrlParts<'a> {
+    /// Split a URL leniently. Never fails: inputs without a
+    /// recognisable host yield an empty host and the whole pre-query
+    /// input as path.
+    pub fn split(url: &'a str) -> Self {
+        let trimmed = url.trim();
+
+        // Fragment.
+        let (before_frag, fragment) = match trimmed.split_once('#') {
+            Some((a, b)) => (a, Some(b)),
+            None => (trimmed, None),
+        };
+        // Query.
+        let (before_query, query) = match before_frag.split_once('?') {
+            Some((a, b)) => (a, Some(b)),
+            None => (before_frag, None),
+        };
+        // Scheme.
+        let (scheme, rest) = match before_query.find("://") {
+            Some(idx)
+                if before_query[..idx]
+                    .chars()
+                    .all(|c| c.is_ascii_alphanumeric() || c == '+' || c == '-' || c == '.')
+                    && idx > 0 =>
+            {
+                (Some(&before_query[..idx]), &before_query[idx + 3..])
+            }
+            _ => (None, before_query),
+        };
+        // Host[:port] / path split.
+        let (authority, path) = match rest.find('/') {
+            Some(idx) => (&rest[..idx], &rest[idx..]),
+            None => (rest, ""),
+        };
+        // Strip userinfo if present.
+        let authority = authority.rsplit('@').next().unwrap_or(authority);
+        let (host, port) = match authority.rsplit_once(':') {
+            // If the part after the colon is not a valid port number, drop
+            // it anyway: "example.com:notaport" still has host example.com.
+            Some((h, p)) => (h, p.parse::<u16>().ok()),
+            None => (authority, None),
+        };
+        let host = host.trim_end_matches('.');
+
+        // A "host" that does not look like a hostname (no dot, or contains
+        // characters illegal in hostnames) is treated as part of the path.
+        let host_is_plausible = !host.is_empty()
+            && host
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '.' || c == '-')
+            && (host.contains('.') || scheme.is_some());
+
+        if host_is_plausible {
+            Self {
+                scheme,
+                host,
+                port,
+                path,
+                query,
+                fragment,
+            }
+        } else {
+            Self {
+                scheme,
+                host: "",
+                port: None,
+                path: before_query,
+                query,
+                fragment,
+            }
+        }
+    }
+
+    /// The URL scheme as written, if present.
+    pub fn scheme(&self) -> Option<&'a str> {
+        self.scheme
+    }
+
+    /// The host as written (trailing dots trimmed), or `""` if none was
+    /// found.
+    pub fn host(&self) -> &'a str {
+        self.host
+    }
+
+    /// The port, if explicitly given.
+    pub fn port(&self) -> Option<u16> {
+        self.port
+    }
+
+    /// The path (starting with `/`), or `""`; without a plausible host,
+    /// the whole input before the query.
+    pub fn path(&self) -> &'a str {
+        self.path
+    }
+
+    /// The query string (without `?`), if present.
+    pub fn query(&self) -> Option<&'a str> {
+        self.query
+    }
+
+    /// The fragment (without `#`), if present.
+    pub fn fragment(&self) -> Option<&'a str> {
+        self.fragment
+    }
+
+    /// The top-level domain as written: [`ParsedUrl::tld`] before
+    /// lowercasing.
+    pub fn tld(&self) -> Option<&'a str> {
+        tld_of(self.host)
+    }
+
+    /// URL depth: number of non-empty path segments.
+    pub fn path_depth(&self) -> usize {
+        path_depth_of(self.path)
+    }
+}
+
+/// The last non-empty host label, unless it is purely numeric (IP
+/// addresses have no TLD).
+fn tld_of(host: &str) -> Option<&str> {
+    let last = host.rsplit('.').find(|l| !l.is_empty())?;
+    if last.chars().all(|c| c.is_ascii_digit()) {
+        None
+    } else {
+        Some(last)
+    }
+}
+
+/// Number of non-empty `/`-separated segments of a path.
+fn path_depth_of(path: &str) -> usize {
+    path.split('/').filter(|s| !s.is_empty()).count()
 }
 
 impl fmt::Display for ParsedUrl {
@@ -441,6 +533,40 @@ mod tests {
         let u = ParsedUrl::parse("http://example.com./x");
         assert_eq!(u.host(), "example.com");
         assert_eq!(u.tld(), Some("com"));
+    }
+
+    #[test]
+    fn borrowed_split_is_the_parse_before_lowercasing() {
+        for url in [
+            "https://user@Sub.Example.CO.uk:8080/a/b.html?q=1#frag",
+            "HTTP://WWW.EXAMPLE.DE/Pfad",
+            "www.example.de/page",
+            "http://example.com./x",
+            "http://192.168.0.1:80/admin?x",
+            "not a url at all?q=Zwei",
+            "  http://padded.de/x  ",
+            "?q=1",
+            "",
+        ] {
+            let parts = UrlParts::split(url);
+            let parsed = ParsedUrl::parse(url);
+            assert_eq!(parts.host().to_ascii_lowercase(), parsed.host(), "{url}");
+            assert_eq!(
+                parts.scheme().map(str::to_ascii_lowercase).as_deref(),
+                parsed.scheme(),
+                "{url}"
+            );
+            assert_eq!(parts.port(), parsed.port(), "{url}");
+            assert_eq!(parts.path(), parsed.path(), "{url}");
+            assert_eq!(parts.query(), parsed.query(), "{url}");
+            assert_eq!(parts.fragment(), parsed.fragment(), "{url}");
+            assert_eq!(
+                parts.tld().map(str::to_ascii_lowercase).as_deref(),
+                parsed.tld(),
+                "{url}"
+            );
+            assert_eq!(parts.path_depth(), parsed.path_depth(), "{url}");
+        }
     }
 
     #[test]

@@ -90,6 +90,19 @@ fn every_recipe_packs_and_serves_bit_identically_on_both_lanes() {
                     .is_some_and(|p| p.is_mapped()),
                 "{tag}: binary load must serve out of the mapping"
             );
+            // Every feature family, custom included, extracts through
+            // the compiled transform after either load (scores cannot
+            // show a silent fallback to the interpreted extractor).
+            for (format, loaded) in [("json", &from_json), ("urlm", &from_urlm)] {
+                assert!(
+                    loaded
+                        .classifier_set()
+                        .plane()
+                        .and_then(|p| p.transform())
+                        .is_some(),
+                    "{tag}: {format} load must extract through the compiled transform"
+                );
+            }
 
             // Exact f64 lane: bit-for-bit equality, decisions included.
             for url in &sample {

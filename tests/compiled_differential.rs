@@ -4,7 +4,8 @@
 //! The compiled plane (arena-interned vocabularies + fused dense-weight
 //! matrix, `urlid_classifiers::compile`) replaces the model's *runtime
 //! representation* end to end, so its correctness contract is checked
-//! end to end here, for **all fifteen algorithm × feature recipes**:
+//! end to end here, for **all fifteen algorithm × feature recipes**
+//! plus the full 74-feature custom set:
 //!
 //! * decisions (`classify_all`, `identify`) must match the interpreted
 //!   path **exactly**;
@@ -20,7 +21,8 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 use urlid::prelude::*;
 
-/// The fifteen persistable recipes of the paper grid (plus k-NN).
+/// The fifteen persistable recipes of the paper grid (plus k-NN), and
+/// the full 74-feature custom set.
 fn recipes() -> Vec<TrainingConfig> {
     let algorithms = [
         Algorithm::NaiveBayes,
@@ -40,7 +42,23 @@ fn recipes() -> Vec<TrainingConfig> {
             out.push(TrainingConfig::new(feature_set, algorithm).with_maxent_iterations(6));
         }
     }
+    out.push(
+        TrainingConfig::new(FeatureSetKind::Custom, Algorithm::NaiveBayes)
+            .with_full_custom_features(),
+    );
     out
+}
+
+/// Every feature family extracts through the compiled transform: a
+/// silent fallback to the interpreted extractor scores identically, so
+/// only this check can catch it.
+fn assert_extracts_compiled(set: &LanguageClassifierSet, config: &TrainingConfig, when: &str) {
+    assert!(
+        set.plane().and_then(|plane| plane.transform()).is_some(),
+        "{:?}/{:?}: no compiled transform {when}",
+        config.feature_set,
+        config.algorithm
+    );
 }
 
 /// All fifteen recipes trained once on a tiny corpus (shared by the
@@ -60,6 +78,7 @@ fn trained_sets() -> &'static Vec<(TrainingConfig, LanguageClassifierSet)> {
                     config.feature_set,
                     config.algorithm
                 );
+                assert_extracts_compiled(&set, &config, "after training");
                 (config, set)
             })
             .collect()
@@ -173,6 +192,7 @@ fn persistence_round_trips_through_the_compile_step() {
         let original = bundle.into_identifier();
         assert!(original.classifier_set().is_compiled());
         assert!(reloaded.classifier_set().is_compiled());
+        assert_extracts_compiled(reloaded.classifier_set(), &config, "after a JSON load");
         for url in &sample {
             assert_eq!(
                 original.classifier_set().score_all(url),
