@@ -2,13 +2,12 @@
 //!
 //! Trains every persistable algorithm × feature recipe (15 of them) on a
 //! small sharded corpus, then measures `identify_batch` throughput over
-//! a crawl-frontier probe set three times per recipe — through the
+//! a crawl-frontier probe set twice per recipe — through the
 //! **interpreted** scoring path (the training-time representation:
-//! `HashMap` vocabularies, per-language model structures), through the
-//! **compiled plane** (arena-interned vocabulary, fused language-major
-//! dense-weight matrix, exact `f64` weights), and through the compiled
-//! plane's opt-in **quantised `f32` weight lane** — and writes the
-//! timings to `BENCH_score.json` (`"schema": 3`):
+//! `HashMap` vocabularies, per-language model structures) and through
+//! the **compiled plane** (arena-interned vocabulary, fused
+//! language-major dense-weight matrix) — and writes the timings to
+//! `BENCH_score.json` (`"schema": 4`):
 //!
 //! ```text
 //! cargo run --release -p urlid-bench --bin scorebench -- \
@@ -20,10 +19,8 @@
 //! non-zero if any contract is violated, so a CI regression gate on the
 //! report can trust the numbers it compares:
 //!
-//! * the `f64` compiled plane must match the interpreted oracle within
+//! * the compiled plane must match the interpreted oracle within
 //!   1e-12 (in fact bit-identically) on every probe URL;
-//! * the `f32` lane must reproduce every accept/reject decision and
-//!   stay within [`F32_SCORE_TOLERANCE`] (relative) of the `f64` scores;
 //! * the uniform-plane recipes (words/trigrams/custom × nb/re/me) must
 //!   score a warm probe pass with **zero heap allocations**, proven by
 //!   the counting global allocator below;
@@ -40,13 +37,6 @@ use std::time::Instant;
 use urlid::features::ExtractScratch;
 use urlid::prelude::*;
 use urlid_corpus::ShardPlan;
-
-/// Documented tolerance of the quantised `f32` lane: per-language
-/// scores must satisfy `|f32 − f64| ≤ tol · max(1, |f64|)`. The f32
-/// mantissa carries ~1e-7 relative precision per weight; summed over
-/// the tens of features a URL activates, observed drift stays below
-/// 1e-5 — the gate leaves an order of magnitude of headroom.
-const F32_SCORE_TOLERANCE: f64 = 1e-4;
 
 /// Counting wrapper around the system allocator: every `alloc`,
 /// `alloc_zeroed` and growing `realloc` bumps one relaxed counter.
@@ -86,27 +76,15 @@ struct RecipeBench {
     algorithm: String,
     /// URLs/second through the interpreted path.
     interpreted_rps: f64,
-    /// URLs/second through the compiled plane (exact `f64` weights).
+    /// URLs/second through the compiled plane.
     compiled_rps: f64,
-    /// URLs/second through the quantised `f32` weight lane.
-    f32_rps: f64,
     /// compiled_rps / interpreted_rps.
     speedup: f64,
-    /// f32_rps / compiled_rps (the marginal gain of quantising).
-    f32_speedup: f64,
     /// Did every probe URL produce identical decisions and scores
     /// within 1e-12 (in fact: bit-identical) on both paths?
     equal: bool,
     /// Largest |compiled − interpreted| score difference observed.
     max_score_diff: f64,
-    /// Did the f32 lane reproduce every accept/reject decision whose
-    /// exact score clears the quantisation noise floor
-    /// ([`F32_SCORE_TOLERANCE`])? Scores inside the floor are ties the
-    /// exact lane itself only breaks by rounding residue.
-    f32_decision_parity: bool,
-    /// Largest relative |f32 − f64| score drift observed
-    /// (`|Δ| / max(1, |f64|)`); gated by [`F32_SCORE_TOLERANCE`].
-    f32_max_score_diff: f64,
     /// Heap allocations per URL during a warm sequential scoring pass
     /// (reused `ExtractScratch`, counting global allocator).
     steady_allocs_per_url: f64,
@@ -141,25 +119,16 @@ struct ScoreBenchReport {
     probe_urls: usize,
     reps: usize,
     maxent_iterations: usize,
-    /// The f32 gate the `f32_max_score_diff` fields were checked
-    /// against, recorded so the report is self-describing.
-    f32_score_tolerance: f64,
     recipes: Vec<RecipeBench>,
     /// Total probe seconds, interpreted vs compiled, across recipes.
     total_interpreted_secs: f64,
     total_compiled_secs: f64,
-    total_f32_secs: f64,
     /// Headline `identify_batch` speedup of the compiled plane: the
     /// geometric mean of the per-recipe speedups (robust against one
     /// slow recipe — k-NN spends seconds where NB spends milliseconds —
     /// dominating a wall-clock ratio).
     identify_batch_speedup: f64,
-    /// Geometric mean of per-recipe `f32_speedup` (f32 lane vs f64).
-    f32_speedup_geomean: f64,
     equal_all: bool,
-    /// Every recipe's f32 lane reproduced every decision and stayed
-    /// within tolerance.
-    f32_parity_all: bool,
     /// Every zero-alloc-required recipe measured 0 allocations/URL.
     zero_alloc_ok: bool,
     /// Every zero-alloc-required recipe also measured 0 allocations/URL
@@ -334,7 +303,6 @@ fn run() -> Result<(), String> {
 
     let mut recipes = Vec::new();
     let mut equal_all = true;
-    let mut f32_parity_all = true;
     let mut zero_alloc_ok = true;
     let mut split_path_ok = true;
     for (feature_name, feature_set) in feature_sets {
@@ -344,28 +312,21 @@ fn run() -> Result<(), String> {
                 .with_maxent_iterations(config.maxent_iters);
             let bundle = ModelBundle::train(&training, &tc).map_err(|e| format!("train: {e}"))?;
 
-            // Three identifiers from the same trained bytes: the load
-            // path compiles (f64), one re-compiles to the quantised f32
-            // lane, and the baseline explicitly decompiles.
+            // Two identifiers from the same trained bytes: the load path
+            // compiles, and the baseline explicitly decompiles.
             let compiled = bundle.clone().into_identifier();
             assert!(compiled.classifier_set().is_compiled());
-            let mut quantized = bundle.clone().into_identifier();
-            quantized.classifier_set_mut().compile_f32();
-            assert_eq!(quantized.classifier_set().weight_lane(), "f32");
             let mut interpreted = bundle.into_identifier();
             interpreted.classifier_set_mut().clear_compiled();
             assert!(!interpreted.classifier_set().is_compiled());
 
-            // Differential checks before timing anything: f64 compiled
-            // vs the interpreted oracle, then f32 vs f64.
+            // Differential check before timing anything: compiled vs
+            // the interpreted oracle.
             let mut equal = true;
             let mut max_score_diff = 0.0f64;
-            let mut f32_decision_parity = true;
-            let mut f32_max_score_diff = 0.0f64;
             for url in &probe {
                 let c = compiled.classifier_set().score_all(url);
                 let i = compiled.classifier_set().score_all_interpreted(url);
-                let q = quantized.classifier_set().score_all(url);
                 for lang in ALL_LANGUAGES {
                     let (Some(cs), Some(is)) = (c[lang.index()], i[lang.index()]) else {
                         equal = false;
@@ -376,21 +337,6 @@ fn run() -> Result<(), String> {
                     if diff.is_nan() || diff > 1e-12 {
                         equal = false;
                     }
-                    let Some(qs) = q[lang.index()] else {
-                        f32_decision_parity = false;
-                        continue;
-                    };
-                    let rel = (qs - cs).abs() / cs.abs().max(1.0);
-                    f32_max_score_diff = f32_max_score_diff.max(rel);
-                    // Decisions are `score > 0` (the proptested sign
-                    // convention). A flip only counts when the exact
-                    // score clears the quantisation noise floor: a
-                    // |score| at 1e-15 — an out-of-vocabulary URL whose
-                    // divergences cancel — is a coin toss the exact
-                    // lane itself only "decides" by rounding residue.
-                    if cs.abs() > F32_SCORE_TOLERANCE && (cs > 0.0) != (qs > 0.0) {
-                        f32_decision_parity = false;
-                    }
                 }
                 if compiled.classifier_set().classify_all(url)
                     != compiled.classifier_set().classify_all_interpreted(url)
@@ -399,11 +345,8 @@ fn run() -> Result<(), String> {
                 }
             }
             equal_all &= equal;
-            let f32_within_tolerance =
-                f32_decision_parity && f32_max_score_diff <= F32_SCORE_TOLERANCE;
-            f32_parity_all &= f32_within_tolerance;
 
-            // Steady-state allocation audit on the f64 compiled plane.
+            // Steady-state allocation audit on the compiled plane.
             // The uniform recipes (all five languages on one linear or
             // entropy plane, over any feature family) must be
             // allocation-free once the scratch is warm; the hybrid dt/knn
@@ -427,20 +370,15 @@ fn run() -> Result<(), String> {
             // Warm-up once per leg, then best-of-reps.
             let _ = interpreted.identify_batch(&probe[..probe.len().min(256)]);
             let _ = compiled.identify_batch(&probe[..probe.len().min(256)]);
-            let _ = quantized.identify_batch(&probe[..probe.len().min(256)]);
             let interpreted_secs = time_batch(&interpreted, &probe, config.reps);
             let compiled_secs = time_batch(&compiled, &probe, config.reps);
-            let f32_secs = time_batch(&quantized, &probe, config.reps);
 
             let interpreted_rps = probe.len() as f64 / interpreted_secs;
             let compiled_rps = probe.len() as f64 / compiled_secs;
-            let f32_rps = probe.len() as f64 / f32_secs;
             let speedup = compiled_rps / interpreted_rps;
-            let f32_speedup = f32_rps / compiled_rps;
             eprintln!(
                 "{feature_name:>8} + {algorithm_name:<3}  interpreted {interpreted_rps:9.0} u/s  \
-                 compiled {compiled_rps:9.0} u/s ({speedup:4.2}x)  f32 {f32_rps:9.0} u/s \
-                 ({f32_speedup:4.2}x, drift {f32_max_score_diff:.1e})  equal {equal}  \
+                 compiled {compiled_rps:9.0} u/s ({speedup:4.2}x)  equal {equal}  \
                  allocs/url {steady_allocs:.2} (split {split_allocs:.2})",
             );
             recipes.push(RecipeBench {
@@ -448,13 +386,9 @@ fn run() -> Result<(), String> {
                 algorithm: algorithm_name.to_owned(),
                 interpreted_rps,
                 compiled_rps,
-                f32_rps,
                 speedup,
-                f32_speedup,
                 equal,
                 max_score_diff,
-                f32_decision_parity,
-                f32_max_score_diff,
                 steady_allocs_per_url: steady_allocs,
                 split_allocs_per_url: split_allocs,
                 plain_path_rps,
@@ -472,16 +406,14 @@ fn run() -> Result<(), String> {
         .iter()
         .map(|r| probe.len() as f64 / r.compiled_rps)
         .sum();
-    let total_f32_secs: f64 = recipes.iter().map(|r| probe.len() as f64 / r.f32_rps).sum();
     let geomean = |values: &mut dyn Iterator<Item = f64>| -> f64 {
         let (sum, n) = values.fold((0.0f64, 0usize), |(s, n), v| (s + v.ln(), n + 1));
         (sum / n.max(1) as f64).exp()
     };
     let speedup_geomean = geomean(&mut recipes.iter().map(|r| r.speedup));
-    let f32_speedup_geomean = geomean(&mut recipes.iter().map(|r| r.f32_speedup));
     let report = ScoreBenchReport {
         bench: "score",
-        schema: 3,
+        schema: 4,
         unix_time: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -492,15 +424,11 @@ fn run() -> Result<(), String> {
         probe_urls: probe.len(),
         reps: config.reps,
         maxent_iterations: config.maxent_iters,
-        f32_score_tolerance: F32_SCORE_TOLERANCE,
         recipes,
         total_interpreted_secs,
         total_compiled_secs,
-        total_f32_secs,
         identify_batch_speedup: speedup_geomean,
-        f32_speedup_geomean,
         equal_all,
-        f32_parity_all,
         zero_alloc_ok,
         split_path_ok,
     };
@@ -508,19 +436,12 @@ fn run() -> Result<(), String> {
     std::fs::write(&config.out, &json).map_err(|e| format!("cannot write {}: {e}", config.out))?;
     eprintln!(
         "total probe time: interpreted {total_interpreted_secs:.2}s, compiled \
-         {total_compiled_secs:.2}s, f32 {total_f32_secs:.2}s; geomean speedup {:.2}x \
-         (f32 lane {:.2}x on top); equal {equal_all}; f32 parity {f32_parity_all}; \
+         {total_compiled_secs:.2}s; geomean speedup {:.2}x; equal {equal_all}; \
          zero-alloc {zero_alloc_ok}; split path {split_path_ok}; wrote {}",
-        report.identify_batch_speedup, report.f32_speedup_geomean, config.out
+        report.identify_batch_speedup, config.out
     );
     if !equal_all {
         return Err("differential violation: compiled plane diverged from interpreted".to_owned());
-    }
-    if !f32_parity_all {
-        return Err(format!(
-            "f32 violation: quantised lane broke decision parity or exceeded \
-             the {F32_SCORE_TOLERANCE:.0e} relative score tolerance"
-        ));
     }
     if !zero_alloc_ok {
         return Err(

@@ -39,7 +39,7 @@
 //! the set falls back to the boxed scorer for the rest — still
 //! benefiting from the arena-interned extraction.
 
-use crate::lanes::{self, LaneWeight};
+use crate::lanes;
 use crate::markov::{markov_encode, markov_transition_index, MARKOV_TRANSITIONS};
 use crate::set::LanguageScorer;
 use serde::{Deserialize, Serialize};
@@ -217,18 +217,10 @@ pub struct CompiledPlane {
     dim: usize,
     /// Lanes per feature row.
     stride: usize,
-    /// `dim × stride` language-major matrix (the exact lane). A
-    /// [`Lane`] so a `.urlm`-loaded plane scores straight out of the
-    /// mapped file; compiled-in-process planes own their `Vec`.
+    /// `dim × stride` language-major matrix. A [`Lane`] so a
+    /// `.urlm`-loaded plane scores straight out of the mapped file;
+    /// compiled-in-process planes own their `Vec`.
     matrix: Lane<f64>,
-    /// The quantised weight lane (see [`CompiledPlane::quantize_f32`]).
-    /// Present but inactive on a freshly mapped model — `use_f32`
-    /// decides which lane scores.
-    matrix_f32: Option<Lane<f32>>,
-    /// Is the quantised lane the active one? Distinct from the lane's
-    /// *presence*: a `.urlm` file always carries both lanes, and the
-    /// serving layer flips this switch without recompiling.
-    use_f32: bool,
     /// Per-language participation in the fused vector pass.
     plans: [VectorPlan; 5],
     /// Detected uniform-algorithm kernel for the vector pass.
@@ -412,8 +404,6 @@ impl CompiledPlane {
             dim,
             stride,
             matrix: Lane::from_vec(matrix),
-            matrix_f32: None,
-            use_f32: false,
             plans,
             fast,
             markov,
@@ -435,56 +425,10 @@ impl CompiledPlane {
         self.stride
     }
 
-    /// Does any of the plane's lanes read out of a mapped model file
-    /// (as opposed to process-owned memory)?
+    /// Does the plane's matrix (or Markov table) read out of a mapped
+    /// model file (as opposed to process-owned memory)?
     pub fn is_mapped(&self) -> bool {
-        self.matrix.is_mapped()
-            || self.matrix_f32.as_ref().is_some_and(|l| l.is_mapped())
-            || self.markov.as_ref().is_some_and(|m| m.matrix.is_mapped())
-    }
-
-    /// Switch the plane onto a quantised `f32` weight lane: the vector
-    /// matrix is narrowed element-wise (half the memory traffic per
-    /// row), while every accumulator stays `f64`. Scores are no longer
-    /// bit-identical to interpreted — the serving opt-in trades a
-    /// bounded score perturbation (see the differential suite's
-    /// tolerance) for throughput. Positive weights that would underflow
-    /// to `0.0` are clamped to `f32::MIN_POSITIVE` so Relative
-    /// Entropy's `MIN_POSITIVE`-clamped distributions never divide by
-    /// zero; the Markov plane keeps its `f64` tables (its rows are
-    /// shared log tables, not per-feature lanes).
-    pub(crate) fn quantize_f32(&mut self) {
-        if self.matrix_f32.is_none() {
-            self.matrix_f32 = Some(Lane::from_vec(
-                self.matrix.iter().map(|&w| quantize_weight(w)).collect(),
-            ));
-        }
-        self.use_f32 = true;
-    }
-
-    /// Is the quantised lane active?
-    pub fn is_f32(&self) -> bool {
-        self.use_f32
-    }
-
-    /// Does the plane carry a quantised lane at all (active or not)?
-    pub fn has_f32_lane(&self) -> bool {
-        self.matrix_f32.is_some()
-    }
-
-    /// Switch between the exact `f64` lane and the quantised `f32` lane
-    /// **without recompiling** — both lanes of a `.urlm`-loaded plane
-    /// are mapped views, so this is a flag flip. Asking for `f32` when
-    /// no quantised lane exists quantises one from the exact lane
-    /// (deterministic, so the result is bit-identical to the lane a
-    /// pack would have written). Returns whether `f32` is now active.
-    pub fn prefer_f32(&mut self, on: bool) -> bool {
-        if on {
-            self.quantize_f32();
-        } else {
-            self.use_f32 = false;
-        }
-        self.use_f32
+        self.matrix.is_mapped() || self.markov.as_ref().is_some_and(|m| m.matrix.is_mapped())
     }
 
     /// The fused vector pass: one walk over the sparse vector fills every
@@ -497,23 +441,10 @@ impl CompiledPlane {
         ranked: &mut Vec<(u32, f64)>,
         out: &mut [Option<f64>; 5],
     ) {
-        match (self.use_f32, &self.matrix_f32) {
-            (true, Some(matrix)) => self.score_vectors_with(matrix.as_slice(), vector, ranked, out),
-            _ => self.score_vectors_with(self.matrix.as_slice(), vector, ranked, out),
-        }
-    }
-
-    /// The vector pass over one weight lane (`W` = `f64` or `f32`).
-    fn score_vectors_with<W: LaneWeight>(
-        &self,
-        matrix: &[W],
-        vector: &SparseVector,
-        ranked: &mut Vec<(u32, f64)>,
-        out: &mut [Option<f64>; 5],
-    ) {
         if self.stride == 0 {
             return;
         }
+        let matrix = self.matrix.as_slice();
         match &self.fast {
             FastPath::Linear { defaults } => self.score_linear(matrix, defaults, vector, out),
             FastPath::Entropy { defaults } => self.score_entropy(matrix, defaults, vector, out),
@@ -529,9 +460,9 @@ impl CompiledPlane {
     /// weights, and ME lanes add `x · 0.0 = +0.0` where the interpreted
     /// scorer skips (a bit-level no-op on an accumulator that is never
     /// `-0.0`).
-    fn score_linear<W: LaneWeight>(
+    fn score_linear(
         &self,
-        matrix: &[W],
+        matrix: &[f64],
         defaults: &[f64],
         vector: &SparseVector,
         out: &mut [Option<f64>; 5],
@@ -575,9 +506,9 @@ impl CompiledPlane {
     /// Uniform Relative-Entropy fast path: the per-feature
     /// `(q_pos, q_neg)` walk without plan dispatch. The `ln` calls
     /// dominate, so this is about dropping the match, not SIMD.
-    fn score_entropy<W: LaneWeight>(
+    fn score_entropy(
         &self,
-        matrix: &[W],
+        matrix: &[f64],
         defaults: &[f64],
         vector: &SparseVector,
         out: &mut [Option<f64>; 5],
@@ -592,8 +523,8 @@ impl CompiledPlane {
                 if j < self.dim {
                     let row = &matrix[j * self.stride..(j + 1) * self.stride];
                     for k in 0..pairs {
-                        d[2 * k] += p * (p / row[2 * k].to_f64()).ln();
-                        d[2 * k + 1] += p * (p / row[2 * k + 1].to_f64()).ln();
+                        d[2 * k] += p * (p / row[2 * k]).ln();
+                        d[2 * k + 1] += p * (p / row[2 * k + 1]).ln();
                     }
                 } else {
                     for k in 0..pairs {
@@ -615,9 +546,9 @@ impl CompiledPlane {
     }
 
     /// The general (heterogeneous-plan) vector pass.
-    fn score_general<W: LaneWeight>(
+    fn score_general(
         &self,
-        matrix: &[W],
+        matrix: &[f64],
         vector: &SparseVector,
         ranked: &mut Vec<(u32, f64)>,
         out: &mut [Option<f64>; 5],
@@ -656,14 +587,14 @@ impl CompiledPlane {
                     VectorPlan::NaiveBayes {
                         offset, default, ..
                     } => {
-                        let w = row.map(|r| r[*offset].to_f64()).unwrap_or(*default);
+                        let w = row.map(|r| r[*offset]).unwrap_or(*default);
                         acc[i] += x * w;
                     }
                     VectorPlan::MaxEnt { offset, .. } => {
                         // Interpreted `dot_dense` skips out-of-range
                         // indices entirely.
                         if let Some(r) = row {
-                            acc[i] += x * r[*offset].to_f64();
+                            acc[i] += x * r[*offset];
                         }
                     }
                     VectorPlan::RelativeEntropy {
@@ -674,7 +605,7 @@ impl CompiledPlane {
                         let p = x / norm;
                         if p > 0.0 {
                             let (qp, qn) = match row {
-                                Some(r) => (r[*offset].to_f64(), r[*offset + 1].to_f64()),
+                                Some(r) => (r[*offset], r[*offset + 1]),
                                 None => (*default_pos, *default_neg),
                             };
                             d_pos[i] += p * (p / qp).ln();
@@ -715,9 +646,9 @@ impl CompiledPlane {
     /// once (they are shared by every rank-order language) and walk the
     /// ranked list against the dense rank lanes. `ranked` is reused
     /// scratch — a warm call allocates nothing.
-    fn score_rank_order<W: LaneWeight>(
+    fn score_rank_order(
         &self,
-        matrix: &[W],
+        matrix: &[f64],
         vector: &SparseVector,
         ranked: &mut Vec<(u32, f64)>,
         out: &mut [Option<f64>; 5],
@@ -751,7 +682,7 @@ impl CompiledPlane {
                 } = plan
                 {
                     let (rp, rn) = match row {
-                        Some(r) => (r[*offset].to_f64(), r[*offset + 1].to_f64()),
+                        Some(r) => (r[*offset], r[*offset + 1]),
                         None => (-1.0, -1.0),
                     };
                     let t = test_rank as f64;
@@ -894,24 +825,6 @@ fn detect_fast_path(plans: &[VectorPlan; 5], stride: usize) -> FastPath {
     }
 }
 
-/// Narrow one matrix weight to the quantised lane. The nearest-`f32`
-/// cast is exact for rank lanes (small integers and −1.0) and within
-/// half an ULP elsewhere; values whose magnitude underflows to zero are
-/// clamped to the smallest normal-direction `f32` so Relative Entropy's
-/// `f64::MIN_POSITIVE`-clamped distributions never become a division by
-/// zero (`p / 0.0 = ∞` would poison the score).
-fn quantize_weight(w: f64) -> f32 {
-    let narrowed = w as f32;
-    if narrowed == 0.0 && w != 0.0 {
-        // The cast preserves the sign in the underflowed zero.
-        f32::MIN_POSITIVE.copysign(narrowed)
-    } else if narrowed.is_infinite() && w.is_finite() {
-        f32::MAX.copysign(narrowed)
-    } else {
-        narrowed
-    }
-}
-
 // ---------------------------------------------------------------------
 // `.urlm` (de)serialisation: the plane's dense matrices become raw
 // sections of the binary model format, and everything else — the lane
@@ -991,12 +904,8 @@ pub struct PlaneMeta {
 pub struct PlanePayload {
     /// The JSON half (scalars); see [`PlaneMeta`].
     pub meta: PlaneMeta,
-    /// The exact `f64` weight matrix, native-endian bytes.
+    /// The `f64` weight matrix, native-endian bytes.
     pub matrix: Vec<u8>,
-    /// The quantised `f32` lane, native-endian bytes. Always produced:
-    /// quantisation is deterministic, so packing it eagerly lets the
-    /// serving layer flip lanes without ever recompiling.
-    pub matrix_f32: Vec<u8>,
     /// The fused Markov transition tables (`f64`), empty when the plane
     /// has no Markov half.
     pub markov: Vec<u8>,
@@ -1007,24 +916,14 @@ pub struct PlanePayload {
 /// view layer between raw file bytes and typed matrices.
 #[derive(Debug, Clone, Default)]
 pub struct PlaneViews {
-    /// The exact `f64` weight matrix.
+    /// The `f64` weight matrix.
     pub matrix: Lane<f64>,
-    /// The quantised `f32` lane, if the file carries one.
-    pub matrix_f32: Option<Lane<f32>>,
     /// The fused Markov transition tables, if the META says one exists.
     pub markov: Option<Lane<f64>>,
 }
 
 fn f64_section_bytes(values: &[f64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_ne_bytes());
-    }
-    out
-}
-
-fn f32_section_bytes(values: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
     for v in values {
         out.extend_from_slice(&v.to_ne_bytes());
     }
@@ -1077,9 +976,7 @@ fn plans_from_meta(meta: &[PlanMeta; 5]) -> ([VectorPlan; 5], usize) {
 impl CompiledPlane {
     /// Serialise the plane for packing into a `.urlm` file: scalars
     /// into `out.meta`, dense matrices into raw native-endian byte
-    /// sections. The quantised `f32` lane is always emitted (computed
-    /// on the fly when the plane has not been quantised), so the packed
-    /// model can serve either lane without recompiling.
+    /// sections.
     pub fn serialize_into(&self, out: &mut PlanePayload) {
         let mut plans = [
             PlanMeta::None,
@@ -1117,13 +1014,6 @@ impl CompiledPlane {
             }),
         };
         out.matrix = f64_section_bytes(&self.matrix);
-        out.matrix_f32 = match &self.matrix_f32 {
-            Some(lane) => f32_section_bytes(lane),
-            None => {
-                let quantised: Vec<f32> = self.matrix.iter().map(|&w| quantize_weight(w)).collect();
-                f32_section_bytes(&quantised)
-            }
-        };
         out.markov = match &self.markov {
             Some(m) => f64_section_bytes(&m.matrix),
             None => Vec::new(),
@@ -1170,15 +1060,6 @@ impl CompiledPlane {
                 stride,
                 expected
             ));
-        }
-        if let Some(f32_lane) = &views.matrix_f32 {
-            if f32_lane.len() != views.matrix.len() {
-                return Err(format!(
-                    "f32 lane holds {} weights but the f64 matrix holds {}",
-                    f32_lane.len(),
-                    views.matrix.len()
-                ));
-            }
         }
         let markov = match (meta.markov, views.markov) {
             (None, None) => None,
@@ -1228,8 +1109,6 @@ impl CompiledPlane {
             dim: meta.dim,
             stride,
             matrix: views.matrix,
-            matrix_f32: views.matrix_f32,
-            use_f32: false,
             plans,
             fast,
             markov,
@@ -1491,11 +1370,9 @@ mod tests {
         let meta: super::PlaneMeta =
             serde_json::from_str(&serde_json::to_string(&payload.meta).unwrap()).unwrap();
         let matrix_map = StdArc::new(Mapping::from_bytes(&payload.matrix));
-        let f32_map = StdArc::new(Mapping::from_bytes(&payload.matrix_f32));
         let markov_map = StdArc::new(Mapping::from_bytes(&payload.markov));
         let views = PlaneViews {
             matrix: Lane::view(&matrix_map, 0, payload.matrix.len()).unwrap(),
-            matrix_f32: Some(Lane::view(&f32_map, 0, payload.matrix_f32.len()).unwrap()),
             markov: meta
                 .markov
                 .is_some()
@@ -1516,24 +1393,9 @@ mod tests {
         set.compile();
         let before: Vec<_> = probe_urls().iter().map(|u| set.score_all(u)).collect();
         let rebuilt = round_trip_plane(&set);
-        assert!(!rebuilt.is_f32(), "mapped planes start on the exact lane");
         set.install_plane(rebuilt);
         let after: Vec<_> = probe_urls().iter().map(|u| set.score_all(u)).collect();
         assert_eq!(before, after, "f64 scores must survive the round trip");
-
-        // The always-packed f32 lane is bit-identical to quantising the
-        // original plane, because quantisation is deterministic.
-        set.set_weight_lane(true);
-        let mapped_f32: Vec<_> = probe_urls().iter().map(|u| set.score_all(u)).collect();
-        set.clear_compiled();
-        set.compile_f32();
-        let compiled_f32: Vec<_> = probe_urls().iter().map(|u| set.score_all(u)).collect();
-        assert_eq!(mapped_f32, compiled_f32);
-
-        // And flipping back restores the exact lane without recompiling.
-        set.set_weight_lane(false);
-        let back: Vec<_> = probe_urls().iter().map(|u| set.score_all(u)).collect();
-        assert_eq!(before, back);
     }
 
     #[test]
@@ -1572,12 +1434,10 @@ mod tests {
         let plane = set.plane().unwrap();
         let mut payload = PlanePayload::default();
         plane.serialize_into(&mut payload);
-        let views = |matrix: &[u8], f32_bytes: &[u8]| {
+        let views = |matrix: &[u8]| {
             let m = StdArc::new(Mapping::from_bytes(matrix));
-            let f = StdArc::new(Mapping::from_bytes(f32_bytes));
             PlaneViews {
                 matrix: Lane::view(&m, 0, matrix.len()).unwrap(),
-                matrix_f32: Some(Lane::view(&f, 0, f32_bytes.len()).unwrap()),
                 markov: None,
             }
         };
@@ -1586,10 +1446,7 @@ mod tests {
         let err = super::CompiledPlane::from_bytes(
             plane.transform().cloned(),
             payload.meta.clone(),
-            views(
-                &payload.matrix[..payload.matrix.len() - 8],
-                &payload.matrix_f32,
-            ),
+            views(&payload.matrix[..payload.matrix.len() - 8]),
         )
         .unwrap_err();
         assert!(err.contains("matrix section"), "{err}");
@@ -1600,22 +1457,10 @@ mod tests {
         let err = super::CompiledPlane::from_bytes(
             plane.transform().cloned(),
             meta,
-            views(&payload.matrix, &payload.matrix_f32),
+            views(&payload.matrix),
         )
         .unwrap_err();
         assert!(err.contains("stride"), "{err}");
-
-        // f32 lane shorter than the f64 matrix.
-        let err = super::CompiledPlane::from_bytes(
-            plane.transform().cloned(),
-            payload.meta.clone(),
-            views(
-                &payload.matrix,
-                &payload.matrix_f32[..payload.matrix_f32.len() - 4],
-            ),
-        )
-        .unwrap_err();
-        assert!(err.contains("f32 lane"), "{err}");
 
         // META claiming a markov plane with no section behind it.
         let mut meta = payload.meta.clone();
@@ -1627,7 +1472,7 @@ mod tests {
         let err = super::CompiledPlane::from_bytes(
             plane.transform().cloned(),
             meta,
-            views(&payload.matrix, &payload.matrix_f32),
+            views(&payload.matrix),
         )
         .unwrap_err();
         assert!(err.contains("markov"), "{err}");

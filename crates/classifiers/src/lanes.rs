@@ -26,35 +26,13 @@
 /// the short rows the plane produces.
 pub const LANES: usize = 4;
 
-/// A weight element of the compiled matrix: exact `f64` or the opt-in
-/// quantised `f32` lane. Widening is always exact, so both lanes share
-/// one set of `f64`-accumulating kernels.
-pub trait LaneWeight: Copy + Send + Sync + 'static {
-    /// Widen to the `f64` the accumulators run in (exact for both).
-    fn to_f64(self) -> f64;
-}
-
-impl LaneWeight for f64 {
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        self
-    }
-}
-
-impl LaneWeight for f32 {
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        f64::from(self)
-    }
-}
-
 /// Scalar reference kernel: `acc[k] += x * row[k]` for every lane `k`.
 /// The chunked/SIMD [`axpy`] must match this bitwise (proptested below).
 #[inline]
-pub fn axpy_scalar<W: LaneWeight>(acc: &mut [f64], x: f64, row: &[W]) {
+pub fn axpy_scalar(acc: &mut [f64], x: f64, row: &[f64]) {
     debug_assert_eq!(acc.len(), row.len());
     for (a, w) in acc.iter_mut().zip(row) {
-        *a += x * w.to_f64();
+        *a += x * w;
     }
 }
 
@@ -62,15 +40,15 @@ pub fn axpy_scalar<W: LaneWeight>(acc: &mut [f64], x: f64, row: &[W]) {
 /// with a scalar tail, bit-identical to [`axpy_scalar`].
 #[cfg(not(feature = "simd"))]
 #[inline]
-pub fn axpy<W: LaneWeight>(acc: &mut [f64], x: f64, row: &[W]) {
+pub fn axpy(acc: &mut [f64], x: f64, row: &[f64]) {
     debug_assert_eq!(acc.len(), row.len());
     let mut acc_chunks = acc.chunks_exact_mut(LANES);
     let mut row_chunks = row.chunks_exact(LANES);
     for (a, w) in acc_chunks.by_ref().zip(row_chunks.by_ref()) {
         let a: &mut [f64; LANES] = a.try_into().expect("exact chunk");
-        let w: &[W; LANES] = w.try_into().expect("exact chunk");
+        let w: &[f64; LANES] = w.try_into().expect("exact chunk");
         for k in 0..LANES {
-            a[k] += x * w[k].to_f64();
+            a[k] += x * w[k];
         }
     }
     for (a, w) in acc_chunks
@@ -78,7 +56,7 @@ pub fn axpy<W: LaneWeight>(acc: &mut [f64], x: f64, row: &[W]) {
         .iter_mut()
         .zip(row_chunks.remainder())
     {
-        *a += x * w.to_f64();
+        *a += x * w;
     }
 }
 
@@ -86,15 +64,14 @@ pub fn axpy<W: LaneWeight>(acc: &mut [f64], x: f64, row: &[W]) {
 /// FMA contraction), so every lane still runs the exact scalar chain.
 #[cfg(feature = "simd")]
 #[inline]
-pub fn axpy<W: LaneWeight>(acc: &mut [f64], x: f64, row: &[W]) {
+pub fn axpy(acc: &mut [f64], x: f64, row: &[f64]) {
     use std::simd::Simd;
     debug_assert_eq!(acc.len(), row.len());
     let xs = Simd::<f64, LANES>::splat(x);
     let mut acc_chunks = acc.chunks_exact_mut(LANES);
     let mut row_chunks = row.chunks_exact(LANES);
     for (a, w) in acc_chunks.by_ref().zip(row_chunks.by_ref()) {
-        let wv = Simd::<f64, LANES>::from_array(std::array::from_fn(|k| w[k].to_f64()));
-        let av = Simd::<f64, LANES>::from_slice(a) + xs * wv;
+        let av = Simd::<f64, LANES>::from_slice(a) + xs * Simd::<f64, LANES>::from_slice(w);
         a.copy_from_slice(av.as_array());
     }
     for (a, w) in acc_chunks
@@ -102,7 +79,7 @@ pub fn axpy<W: LaneWeight>(acc: &mut [f64], x: f64, row: &[W]) {
         .iter_mut()
         .zip(row_chunks.remainder())
     {
-        *a += x * w.to_f64();
+        *a += x * w;
     }
 }
 
@@ -195,21 +172,6 @@ mod tests {
         ) {
             let mut chunked = vec![init; row.len()];
             let mut scalar = vec![init; row.len()];
-            axpy(&mut chunked, x, &row);
-            axpy_scalar(&mut scalar, x, &row);
-            prop_assert_eq!(
-                chunked.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-
-        #[test]
-        fn axpy_f32_lane_is_bitwise_equal_to_scalar(
-            row in proptest::collection::vec((-1e6f64..1e6).prop_map(|v| v as f32), 0..40),
-            x in -1e3f64..1e3,
-        ) {
-            let mut chunked = vec![0.5f64; row.len()];
-            let mut scalar = vec![0.5f64; row.len()];
             axpy(&mut chunked, x, &row);
             axpy_scalar(&mut scalar, x, &row);
             prop_assert_eq!(

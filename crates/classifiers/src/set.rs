@@ -174,21 +174,6 @@ impl LanguageClassifierSet {
         ));
     }
 
-    /// [`LanguageClassifierSet::compile`], then switch the plane onto
-    /// the opt-in quantised `f32` weight lane: half the matrix memory
-    /// traffic per scored feature, in exchange for scores that are only
-    /// tolerance-close (not bit-identical) to interpreted. Decisions
-    /// are expected to agree — the differential suite measures the
-    /// score perturbation and asserts decision parity across every
-    /// recipe — but `f64` (plain [`LanguageClassifierSet::compile`])
-    /// remains the default and the oracle.
-    pub fn compile_f32(&mut self) {
-        self.compile();
-        if let Some(plane) = &mut self.compiled {
-            plane.quantize_f32();
-        }
-    }
-
     /// Install an externally built plane — the `.urlm` binary-load
     /// path, whose plane is reconstructed from mapped file sections by
     /// [`CompiledPlane::from_bytes`] instead of being compiled from the
@@ -205,22 +190,6 @@ impl LanguageClassifierSet {
         self.compiled.as_ref()
     }
 
-    /// Switch the compiled plane between the exact `f64` lane and the
-    /// quantised `f32` lane **without recompiling** (compiling first if
-    /// the set never was). Unlike
-    /// [`LanguageClassifierSet::compile_f32`], a plane that already
-    /// carries both lanes — every `.urlm`-loaded plane does — only
-    /// flips a flag, which is what keeps binary reloads near-instant.
-    /// Returns the resulting lane name (`"f64"` / `"f32"`).
-    pub fn set_weight_lane(&mut self, f32_lane: bool) -> &'static str {
-        if self.compiled.is_none() {
-            self.compile();
-        }
-        let plane = self.compiled.as_mut().expect("compiled above");
-        plane.prefer_f32(f32_lane);
-        self.weight_lane()
-    }
-
     /// Drop the compiled plane, reverting every entry point to the
     /// interpreted path (used by benchmarks to measure the baseline).
     pub fn clear_compiled(&mut self) {
@@ -230,16 +199,6 @@ impl LanguageClassifierSet {
     /// Is a compiled scoring plane active?
     pub fn is_compiled(&self) -> bool {
         self.compiled.is_some()
-    }
-
-    /// The active weight lane: `"f32"` when a compiled plane runs the
-    /// quantised lane, `"f64"` otherwise (exact scoring — interpreted
-    /// or compiled).
-    pub fn weight_lane(&self) -> &'static str {
-        match &self.compiled {
-            Some(plane) if plane.is_f32() => "f32",
-            _ => "f64",
-        }
     }
 
     /// The shared feature extractor, if the set scores vectors.

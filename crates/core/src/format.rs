@@ -46,13 +46,15 @@
 //! the table un-hashed means the checksum of every section is
 //! independent of where the packer placed it.
 //!
-//! Writes go to a sibling temporary file first and are published with
-//! an atomic rename, so a torn write leaves either the old model or a
-//! `.tmp` file that never validates — never a half-written `.urlm`.
+//! Writes go to a sibling temporary file unique to the write and are
+//! published with an atomic rename, so a torn write — or two writers
+//! racing for one path — leaves a whole model from one of them, never a
+//! half-written `.urlm`.
 
 use crate::persistence::PersistenceError;
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use urlid_mapped::{Lane, Mapping, Pod};
 
@@ -77,11 +79,16 @@ const HEADER_FIXED: usize = 8 + 4 + 4 + 4 + 4;
 /// Bytes per section-table entry.
 const ENTRY_BYTES: usize = 32;
 
-/// An implausible section count — the format has nine section kinds;
+/// An implausible section count — the format has eight section kinds;
 /// the cap only bounds the table scan on hostile headers.
 const MAX_SECTIONS: u32 = 64;
 
 /// Identifiers of the known sections, in canonical file order.
+///
+/// Id 7 is retired and must never be reused: files packed before the
+/// quantised `f32` weight lane was removed carry it as `MATRIX32`.
+/// [`UrlmFile::open`] still bounds-checks and checksums it like every
+/// section; the loader never reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub enum SectionId {
@@ -95,10 +102,8 @@ pub enum SectionId {
     Hashes = 4,
     /// Interned vocabulary: open-addressing probe table (`u32`).
     Table = 5,
-    /// Dense language-major weight matrix, f64 lane.
+    /// Dense language-major weight matrix (`f64`).
     Matrix = 6,
-    /// Dense language-major weight matrix, quantised f32 lane.
-    MatrixF32 = 7,
     /// Markov transition matrix (only for Markov-backed planes).
     Markov = 8,
     /// The five per-language training-time models (tagged codec bytes).
@@ -115,7 +120,7 @@ impl SectionId {
             4 => "HASHES",
             5 => "TABLE",
             6 => "MATRIX",
-            7 => "MATRIX32",
+            7 => "MATRIX32", // retired; see `SectionId`
             8 => "MARKOV",
             9 => "MODELS",
             _ => "UNKNOWN",
@@ -279,27 +284,31 @@ impl UrlmWriter {
     }
 
     /// Write the container to `path` atomically: the bytes go to a
-    /// sibling `.tmp` file, are flushed, and only then renamed over the
-    /// destination — a crash mid-write can never leave a torn `.urlm`
-    /// behind. Returns the file size in bytes.
+    /// sibling temporary file of this write's own (`<path>.<pid>.<n>.tmp`),
+    /// are synced, and only then renamed over the destination, whose
+    /// directory is synced last — a crash mid-write can never leave a
+    /// torn `.urlm` behind, and concurrent writers to one path never
+    /// share a staging file. Returns the file size in bytes.
     pub fn write_to(&self, path: impl AsRef<Path>) -> std::io::Result<u64> {
+        static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
         let path = path.as_ref();
         let bytes = self.to_bytes();
         let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
+        let n = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
+        tmp.push(format!(".{}.{n}.tmp", std::process::id()));
+        let tmp = PathBuf::from(tmp);
+        let mut f = std::fs::File::create_new(&tmp)?;
+        let published = f
+            .write_all(&bytes)
+            .and_then(|()| f.sync_all())
+            .and_then(|()| std::fs::rename(&tmp, path));
+        if published.is_err() {
+            std::fs::remove_file(&tmp).ok();
         }
-        match std::fs::rename(&tmp, path) {
-            Ok(()) => Ok(bytes.len() as u64),
-            Err(e) => {
-                std::fs::remove_file(&tmp).ok();
-                Err(e)
-            }
-        }
+        published?;
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        Ok(bytes.len() as u64)
     }
 }
 
@@ -577,6 +586,17 @@ mod tests {
         ));
     }
 
+    /// Siblings of `path` left in its directory: any file whose name
+    /// extends `path`'s (a staging file of any naming scheme).
+    fn leftover_siblings(path: &Path) -> Vec<String> {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with(&name) && *n != name)
+            .collect()
+    }
+
     #[test]
     fn atomic_write_publishes_no_tmp_file() {
         let dir = std::env::temp_dir().join("urlid-format-tests");
@@ -584,14 +604,45 @@ mod tests {
         let path = dir.join("atomic.urlm");
         let written = sample_writer().write_to(&path).unwrap();
         assert_eq!(written, std::fs::metadata(&path).unwrap().len());
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        assert!(!std::path::Path::new(&tmp).exists());
+        assert_eq!(leftover_siblings(&path), Vec::<String>::new());
         let file = UrlmFile::open(&path).unwrap();
         assert_eq!(file.sections().len(), 3);
         #[cfg(target_os = "linux")]
         if std::env::var_os("URLID_NO_MMAP").is_none() {
             assert_eq!(file.backend(), "mmap");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_writes_to_one_path_all_publish_a_whole_file() {
+        let dir = std::env::temp_dir().join("urlid-format-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("contended.urlm");
+        // Differently sized files, so a file torn between two writers
+        // cannot pass validation.
+        let writers: Vec<UrlmWriter> = (0..8)
+            .map(|i| {
+                let mut w = sample_writer();
+                w.push(SectionId::Table, vec![i as u8; 1000 + 5000 * i]);
+                w
+            })
+            .collect();
+        for _ in 0..10 {
+            let start = std::sync::Barrier::new(writers.len());
+            std::thread::scope(|s| {
+                for w in &writers {
+                    let (path, start) = (&path, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        w.write_to(path).expect("every write publishes")
+                    });
+                }
+            });
+            let published = std::fs::read(&path).unwrap();
+            assert!(writers.iter().any(|w| w.to_bytes() == published));
+            UrlmFile::open(&path).expect("the published file validates");
+            assert_eq!(leftover_siblings(&path), Vec::<String>::new());
         }
         std::fs::remove_file(&path).ok();
     }

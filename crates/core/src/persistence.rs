@@ -19,8 +19,8 @@
 //!   [`ModelSource`] loads either format behind magic-byte sniffing.
 //!
 //! The two paths are provably equivalent: the `binary_differential`
-//! suite asserts bit-identical scores for every recipe in both weight
-//! lanes.
+//! suite asserts bit-identical scores for every recipe, through the
+//! compiled plane and the interpreted oracle alike.
 //!
 //! Only single-configuration models are persistable (the ccTLD baselines
 //! need no persistence, and the Section 5.6 combinations can be rebuilt
@@ -311,7 +311,6 @@ impl ModelBundle {
             writer.push(SectionId::Table, u32_bytes(parts.table));
         }
         writer.push(SectionId::Matrix, payload.matrix);
-        writer.push(SectionId::MatrixF32, payload.matrix_f32);
         if !payload.markov.is_empty() {
             writer.push(SectionId::Markov, payload.markov);
         }
@@ -408,20 +407,6 @@ impl std::fmt::Display for ModelFormat {
     }
 }
 
-impl std::str::FromStr for ModelFormat {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "json" => Ok(ModelFormat::Json),
-            "binary" | "urlm" => Ok(ModelFormat::Binary),
-            other => Err(format!(
-                "unknown model format {other:?} (expected \"auto\", \"json\" or \"binary\")"
-            )),
-        }
-    }
-}
-
 /// A model file plus the format it is in — the one way every load path
 /// (CLI boot, `/admin/reload`, tools) resolves "some path the operator
 /// gave us" into a servable identifier.
@@ -475,21 +460,6 @@ impl ModelSource {
                 ModelFormat::Json
             },
         })
-    }
-
-    /// Resolve a path plus a CLI/API format argument
-    /// (`"auto" | "json" | "binary"`).
-    pub fn resolve(path: impl Into<PathBuf>, format: &str) -> Result<Self, PersistenceError> {
-        match format {
-            "auto" | "" => Self::detect(path),
-            other => {
-                let format: ModelFormat = other.parse().map_err(PersistenceError::Corrupt)?;
-                Ok(Self {
-                    path: path.into(),
-                    format,
-                })
-            }
-        }
     }
 
     /// The file path.
@@ -566,7 +536,6 @@ fn load_binary(path: &Path) -> Result<LanguageIdentifier, PersistenceError> {
     // The scoring plane, over zero-copy views of the mapped sections.
     let views = PlaneViews {
         matrix: file.lane(SectionId::Matrix)?,
-        matrix_f32: Some(file.lane(SectionId::MatrixF32)?),
         markov: file.lane_opt(SectionId::Markov)?,
     };
     let plane = urlid_classifiers::CompiledPlane::from_bytes(transform, meta.plane, views)
@@ -796,12 +765,6 @@ mod tests {
 
     #[test]
     fn model_source_resolution_rules() {
-        // Explicit formats never sniff.
-        let src = ModelSource::resolve("whatever.bin", "binary").unwrap();
-        assert_eq!(src.format(), ModelFormat::Binary);
-        let src = ModelSource::resolve("whatever.txt", "json").unwrap();
-        assert_eq!(src.format(), ModelFormat::Json);
-        assert!(ModelSource::resolve("x", "protobuf").is_err());
         // A .urlm extension without the magic is rejected, not fed to
         // the JSON parser.
         let path = temp_path("fake.urlm");
@@ -829,10 +792,14 @@ mod tests {
         bundle.pack(&path).unwrap();
         let report = inspect_model(&path).unwrap();
         for section in [
-            "META", "ARENA", "BOUNDS", "HASHES", "TABLE", "MATRIX", "MATRIX32", "MODELS",
+            "META", "ARENA", "BOUNDS", "HASHES", "TABLE", "MATRIX", "MODELS",
         ] {
             assert!(report.contains(section), "missing {section} in:\n{report}");
         }
+        assert!(
+            !report.contains("MATRIX32"),
+            "retired section packed:\n{report}"
+        );
         assert!(report.contains("urlm v1"), "{report}");
         assert!(report.contains("NaiveBayes"), "{report}");
         std::fs::remove_file(&path).ok();

@@ -46,7 +46,6 @@ pub unsafe trait Pod: Copy + Send + Sync + 'static {}
 unsafe impl Pod for u8 {}
 unsafe impl Pod for u32 {}
 unsafe impl Pod for u64 {}
-unsafe impl Pod for f32 {}
 unsafe impl Pod for f64 {}
 
 /// Why a typed view could not be built over a mapping.

@@ -14,8 +14,8 @@
 //!
 //! Every model-taking subcommand accepts either format: JSON is the
 //! interchange/oracle representation, `.urlm` the page-aligned binary
-//! that loads by `mmap` + validate + cast. Formats are sniffed by
-//! magic bytes (`--format` forces one where ambiguity matters).
+//! that loads by `mmap` + validate + cast. The file's magic bytes
+//! decide which one it is.
 //!
 //! The argument parser is hand-rolled (no extra dependencies); every
 //! subcommand prints usage on `--help` and rejects flags it does not
@@ -64,14 +64,13 @@ USAGE:
   urlid inspect  <model.urlm>
                  (print header, section table with offsets/checksums,
                   and model cardinalities)
-  urlid loadtime --model <model> [--format auto|json|binary] [--repeat <n>]
+  urlid loadtime --model <model> [--repeat <n>]
                  (cold-load the model n times — default 3 — and print the
                   best wall-clock milliseconds to stdout; used by CI to
                   gate binary loads beating JSON cold starts)
-  urlid serve    --model <model> [--format auto|json|binary]
-                 [--addr <host:port>] [--reactors <n>]
+  urlid serve    --model <model> [--addr <host:port>] [--reactors <n>]
                  [--max-inflight <n>] [--cache-capacity <n>]
-                 [--weights f64|f32] [--telemetry on|off] [--slow-ms <n>]
+                 [--telemetry on|off] [--slow-ms <n>]
                  (connections are multiplexed by --reactors event-loop
                   threads that also score the requests they parse, each
                   owning its own SO_REUSEPORT listener and cache shard
@@ -80,9 +79,6 @@ USAGE:
                   --max-inflight caps the connections a reactor serves
                   per event-loop pass; the next ready connection's
                   request is answered 503 — 0 = unlimited, default 32.
-                  --weights f32 serves the quantised f32 weight lane:
-                  half the matrix bytes, identical decisions, scores
-                  within the documented tolerance.
                   --telemetry off disables stage spans and /admin/trace
                   buffering; counters and latency stay on.
                   --slow-ms logs requests slower than n ms to stderr,
@@ -179,21 +175,19 @@ const COMMANDS: &[(&str, &[&str], Command)] = &[
         ],
         cmd_train,
     ),
-    ("identify", &["model", "format"], cmd_identify),
-    ("evaluate", &["model", "format", "data"], cmd_evaluate),
+    ("identify", &["model"], cmd_identify),
+    ("evaluate", &["model", "data"], cmd_evaluate),
     ("pack", &["model", "out"], cmd_pack),
     ("inspect", &["model"], cmd_inspect),
-    ("loadtime", &["model", "format", "repeat"], cmd_loadtime),
+    ("loadtime", &["model", "repeat"], cmd_loadtime),
     (
         "serve",
         &[
             "model",
-            "format",
             "addr",
             "reactors",
             "max-inflight",
             "cache-capacity",
-            "weights",
             "telemetry",
             "slow-ms",
         ],
@@ -357,12 +351,11 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolve `--model` (+ optional `--format`) into a ready identifier,
-/// reporting the detected format and the load wall-clock.
+/// Load `--model` into a ready identifier, reporting the detected
+/// format and the load wall-clock.
 fn load_model(args: &Args) -> Result<(LanguageIdentifier, ModelFormat, f64), String> {
     let path = args.require("model")?;
-    let source = ModelSource::resolve(path, args.get("format").unwrap_or("auto"))
-        .map_err(|e| format!("cannot load {path}: {e}"))?;
+    let source = ModelSource::detect(path).map_err(|e| format!("cannot load {path}: {e}"))?;
     let started = std::time::Instant::now();
     let identifier = source
         .load_identifier()
@@ -503,24 +496,16 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         .unwrap_or("65536")
         .parse()
         .map_err(|_| "bad --cache-capacity")?;
-    let f32_weights = match args.get("weights").unwrap_or("f64") {
-        "f64" => false,
-        "f32" => true,
-        other => return Err(format!("unknown --weights {other:?} (f64|f32)")),
-    };
     let state = Arc::new(ServerState::with_topology(
         identifier,
         Some(model_path.clone()),
         cache_capacity,
-        urlid_serve::cache::ResultCache::DEFAULT_SHARDS,
         config.reactors,
-        f32_weights,
     ));
     state.set_load_info(model_format, load_ms);
-    let lane = if f32_weights { "f32" } else { "f64" };
     let handle = spawn(&config, state).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
     eprintln!(
-        "serving {} on http://{} ({model_format} model, loaded in {load_ms:.1} ms; {} reactors on {} I/O, {lane} weights; cache capacity {cache_capacity}; POST /admin/reload to hot-swap)",
+        "serving {} on http://{} ({model_format} model, loaded in {load_ms:.1} ms; {} reactors on {} I/O; cache capacity {cache_capacity}; POST /admin/reload to hot-swap)",
         model_path.display(),
         handle.addr(),
         config.reactors,
@@ -706,6 +691,22 @@ mod tests {
             err.starts_with("unknown flag --io for urlid serve"),
             "{err}"
         );
+        // Removed flags fail fast instead of being silently ignored.
+        for (command, flag) in [
+            ("serve", "weights"),
+            ("serve", "format"),
+            ("identify", "format"),
+            ("evaluate", "format"),
+            ("loadtime", "format"),
+        ] {
+            let err = args_of(&["--model", "m.urlm", &format!("--{flag}"), "x"])
+                .check_flags(command, accepted(command))
+                .unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown flag --{flag} for urlid {command}")),
+                "{err}"
+            );
+        }
         // Every flag a subcommand reads is documented and accepted.
         for (command, flags, _) in COMMANDS {
             let mut parts = Vec::new();

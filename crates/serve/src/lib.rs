@@ -64,7 +64,7 @@
 //! | `/healthz`            | GET    | —                           | status, model config, uptime                 |
 //! | `/metrics`            | GET    | —                           | counters, cache, latency + per-stage histograms; JSON by default, Prometheus text 0.0.4 on `Accept: text/plain` |
 //! | `/admin/trace`        | GET    | —                           | last buffered stage spans with request ids   |
-//! | `/admin/reload`       | POST   | `{"path": "...", "format": "auto\|json\|binary"}` (opt.) | swaps the model, bumps the cache epoch; reports `format`, `weights`, `load_ms` |
+//! | `/admin/reload`       | POST   | `{"path": "..."}` (opt.)    | swaps the model, bumps the cache epoch; reports `format`, `load_ms` |
 //!
 //! ## Quickstart
 //!

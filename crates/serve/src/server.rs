@@ -82,9 +82,6 @@ pub struct ServeConfig {
     /// connection's request is answered `503`. Pipelined follow-ups on
     /// an admitted connection are never shed. `0` disables the limit.
     pub max_inflight: usize,
-    /// Number of cache shards (mutex stripes) *per shard set*; each
-    /// reactor maps onto one set of the state's [`ResultCache`].
-    pub cache_shards: usize,
     /// A connection with no bytes moving for this long is evicted by
     /// the reactor — mid-request (slowloris) and between requests
     /// alike. An eviction costs a slab slot, never a thread, so this
@@ -118,7 +115,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             reactors: 0,
             max_inflight: 32,
-            cache_shards: ResultCache::DEFAULT_SHARDS,
             idle_timeout: Duration::from_secs(5),
             max_body_bytes: MAX_BODY_BYTES,
             drain_timeout: Duration::from_secs(2),
@@ -193,8 +189,8 @@ pub struct ReloadReport {
     pub epoch: u64,
     /// The persistence format the new model was decoded from.
     pub format: ModelFormat,
-    /// Wall-clock milliseconds spent loading (file → ready identifier,
-    /// weight-lane selection included; the pointer swap is not).
+    /// Wall-clock milliseconds spent loading (file → ready identifier;
+    /// the pointer swap is not included).
     pub load_ms: f64,
 }
 
@@ -205,10 +201,6 @@ pub struct ServerState {
     slot: RwLock<ModelSlot>,
     cache: ResultCache,
     metrics: Metrics,
-    /// Serve the compiled plane's quantised `f32` weight lane instead of
-    /// the exact `f64` default. Remembered here so `/admin/reload`
-    /// re-applies the lane to every freshly loaded model.
-    f32_weights: bool,
 }
 
 impl ServerState {
@@ -222,74 +214,29 @@ impl ServerState {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// A serving state for a trained identifier. `model_path` is where
-    /// `POST /admin/reload` reloads from when the request names no path
-    /// (pass `None` for states built from in-memory models).
+    /// A serving state for a trained identifier, with one cache shard
+    /// set. `model_path` is where `POST /admin/reload` reloads from when
+    /// the request names no path (pass `None` for states built from
+    /// in-memory models).
     pub fn new(
         identifier: LanguageIdentifier,
         model_path: Option<PathBuf>,
         cache_capacity: usize,
     ) -> Self {
-        Self::with_shards(
-            identifier,
-            model_path,
-            cache_capacity,
-            ResultCache::DEFAULT_SHARDS,
-        )
+        Self::with_topology(identifier, model_path, cache_capacity, 1)
     }
 
-    /// [`ServerState::new`] with an explicit shard count.
-    pub fn with_shards(
-        identifier: LanguageIdentifier,
-        model_path: Option<PathBuf>,
-        cache_capacity: usize,
-        cache_shards: usize,
-    ) -> Self {
-        Self::with_weights(identifier, model_path, cache_capacity, cache_shards, false)
-    }
-
-    /// [`ServerState::with_shards`] plus a weight-lane choice: with
-    /// `f32_weights` the identifier's compiled plane is re-compiled to
-    /// the quantised `f32` lane (half the matrix bytes, documented score
-    /// tolerance, identical accept/reject decisions in practice — see
-    /// the README's compiled-plane section), and every model swapped in
-    /// by `POST /admin/reload` gets the same treatment.
-    pub fn with_weights(
-        identifier: LanguageIdentifier,
-        model_path: Option<PathBuf>,
-        cache_capacity: usize,
-        cache_shards: usize,
-        f32_weights: bool,
-    ) -> Self {
-        Self::with_topology(
-            identifier,
-            model_path,
-            cache_capacity,
-            cache_shards,
-            1,
-            f32_weights,
-        )
-    }
-
-    /// [`ServerState::with_weights`] plus an explicit cache shard-set
-    /// count. Size `cache_sets` to the reactor count you will serve
-    /// with: reactor `r` probes only set `r % cache_sets`, so with one
-    /// set per reactor no cache stripe is ever contended across
-    /// reactors. The capacity is split evenly across the sets.
+    /// [`ServerState::new`] with an explicit cache shard-set count. Size
+    /// `cache_sets` to the reactor count you will serve with: reactor
+    /// `r` probes only set `r % cache_sets`, so with one set per reactor
+    /// no cache stripe is ever contended across reactors. The capacity
+    /// is split evenly across the sets.
     pub fn with_topology(
-        mut identifier: LanguageIdentifier,
+        identifier: LanguageIdentifier,
         model_path: Option<PathBuf>,
         cache_capacity: usize,
-        cache_shards: usize,
         cache_sets: usize,
-        f32_weights: bool,
     ) -> Self {
-        if f32_weights {
-            // `set_weight_lane`, not `compile_f32`: flipping the lane
-            // preference keeps an `mmap`-backed plane mapped, where a
-            // recompile would silently rebuild it on the heap.
-            identifier.classifier_set_mut().set_weight_lane(true);
-        }
         Self {
             slot: RwLock::new(ModelSlot {
                 identifier: Arc::new(identifier),
@@ -298,9 +245,8 @@ impl ServerState {
                 format: None,
                 load_ms: None,
             }),
-            cache: ResultCache::with_sets(cache_capacity, cache_shards, cache_sets),
+            cache: ResultCache::with_sets(cache_capacity, ResultCache::DEFAULT_SHARDS, cache_sets),
             metrics: Metrics::new(),
-            f32_weights,
         }
     }
 
@@ -349,18 +295,11 @@ impl ServerState {
     }
 
     /// Swap in a model loaded from `path` (or from the slot's stored
-    /// path when `None`), auto-detecting the persistence format.
-    /// Returns the new epoch. The old model keeps serving until the
-    /// swap; on any error it keeps serving, period.
-    pub fn reload(&self, path: Option<PathBuf>) -> Result<u64, String> {
-        self.reload_from(path, "auto").map(|report| report.epoch)
-    }
-
-    /// [`ServerState::reload`] with an explicit format request:
-    /// `"auto"` (or `""`) sniffs the `.urlm` magic, `"json"` and
-    /// `"binary"` force a format. The identifier is built *outside* the
-    /// write lock, so the lock is held only for the pointer swap.
-    pub fn reload_from(&self, path: Option<PathBuf>, format: &str) -> Result<ReloadReport, String> {
+    /// path when `None`); the `.urlm` magic decides the persistence
+    /// format. The identifier is built *outside* the write lock, so the
+    /// lock is held only for the pointer swap. The old model keeps
+    /// serving until the swap; on any error it keeps serving, period.
+    pub fn reload(&self, path: Option<PathBuf>) -> Result<ReloadReport, String> {
         let path = match path.or_else(|| self.read_slot().path.clone()) {
             Some(p) => p,
             None => {
@@ -370,17 +309,12 @@ impl ServerState {
                 )
             }
         };
-        let source = ModelSource::resolve(&path, format)
+        let source = ModelSource::detect(&path)
             .map_err(|e| format!("cannot reload {}: {e}", path.display()))?;
         let started = Instant::now();
-        let mut identifier = source
+        let identifier = source
             .load_identifier()
             .map_err(|e| format!("cannot reload {}: {e}", path.display()))?;
-        if self.f32_weights {
-            // Lane flip, not recompile: a binary-loaded plane keeps its
-            // mmap-backed lanes (`.urlm` always carries the f32 lane).
-            identifier.classifier_set_mut().set_weight_lane(true);
-        }
         let load_ms = started.elapsed().as_secs_f64() * 1e3;
         let format = source.format();
         let identifier = Arc::new(identifier);
@@ -574,12 +508,6 @@ fn model_value(status: &ModelStatus) -> Value {
         Value::Str(config.feature_set.short_label().to_owned()),
     );
     o.insert("epoch", Value::Uint(status.epoch));
-    // Which weight lane the compiled plane serves: exact "f64" or the
-    // opt-in quantised "f32" (`urlid serve --weights f32`).
-    o.insert(
-        "weights",
-        Value::Str(identifier.classifier_set().weight_lane().to_owned()),
-    );
     // Persistence provenance: which on-disk format the model was
     // decoded from ("json" | "binary"), how long that load took, and
     // whether the compiled plane still serves straight out of the
@@ -921,7 +849,6 @@ pub fn prometheus_text(state: &ServerState) -> String {
         &[
             ("algorithm", config.algorithm.abbrev()),
             ("features", config.feature_set.short_label()),
-            ("weights", identifier.classifier_set().weight_lane()),
             (
                 "format",
                 status.format.map(|f| f.as_str()).unwrap_or("none"),
@@ -991,45 +918,27 @@ fn handle_trace(state: &ServerState) -> (u16, String) {
 }
 
 fn handle_reload(state: &ServerState, req: &Request) -> (u16, String) {
-    // Body grammar: `{}` / empty reloads the stored path with format
-    // auto-detection; `{"path": "..."}` names a file; `{"format":
-    // "auto|json|binary"}` overrides the magic sniffing. Empty bodies
-    // stay accepted for backward compatibility.
-    let (path, format) = if req.body.trim().is_empty() {
-        (None, "auto".to_owned())
+    // Body grammar: `{}` / empty reloads the stored path;
+    // `{"path": "..."}` names a file. The file's magic bytes decide its
+    // format. Empty bodies stay accepted for backward compatibility.
+    let path = if req.body.trim().is_empty() {
+        None
     } else {
         match parse_json(&req.body) {
-            Ok(v) => {
-                let path = match v.get("path") {
-                    Some(Value::Str(p)) => Some(PathBuf::from(p)),
-                    Some(_) => return (400, error_body("path must be a string")),
-                    None => None,
-                };
-                let format = match v.get("format") {
-                    Some(Value::Str(f)) => f.clone(),
-                    Some(_) => {
-                        return (
-                            400,
-                            error_body("format must be \"auto\", \"json\" or \"binary\""),
-                        )
-                    }
-                    None => "auto".to_owned(),
-                };
-                (path, format)
-            }
+            Ok(v) => match v.get("path") {
+                Some(Value::Str(p)) => Some(PathBuf::from(p)),
+                Some(_) => return (400, error_body("path must be a string")),
+                None => None,
+            },
             Err(e) => return (400, error_body(&e)),
         }
     };
-    match state.reload_from(path, &format) {
+    match state.reload(path) {
         Ok(report) => {
             let status = state.model_snapshot();
             let mut o = Value::object();
             o.insert("reloaded", Value::Bool(true));
             o.insert("format", Value::Str(report.format.as_str().to_owned()));
-            o.insert(
-                "weights",
-                Value::Str(status.identifier.classifier_set().weight_lane().to_owned()),
-            );
             o.insert("load_ms", Value::Float(report.load_ms));
             o.insert("model", model_value(&status));
             (200, serde_json::to_string(&o).expect("response serialises"))

@@ -269,12 +269,15 @@ fn binary_reload_reports_format_and_survives_corruption() {
     assert_eq!(response.get("format"), Some(&Value::Str("json".into())));
 
     // Binary reload: format is sniffed from the magic, the response
-    // reports format/weights/load_ms, and the plane serves mapped.
+    // reports format/load_ms, and the plane serves mapped.
     let reload_body = format!("{{\"path\": \"{}\"}}", nb_urlm.display());
     let (status, response) = request(addr, "POST", "/admin/reload", Some(&reload_body));
     assert_eq!(status, 200, "binary reload");
     assert_eq!(response.get("format"), Some(&Value::Str("binary".into())));
-    assert_eq!(response.get("weights"), Some(&Value::Str("f64".into())));
+    assert!(
+        response.get("weights").is_none(),
+        "one weight lane, nothing to report"
+    );
     assert!(
         matches!(response.get("load_ms"), Some(Value::Float(ms)) if *ms >= 0.0),
         "load_ms missing: {response:?}"
@@ -286,14 +289,6 @@ fn binary_reload_reports_format_and_survives_corruption() {
     // Same model bytes, same scores — bit-identical across formats.
     let (_, after) = request(addr, "POST", "/identify", Some(body));
     assert_eq!(after.get("scores"), before.get("scores"));
-
-    // An explicit format mismatch is a clean 500, not a swap.
-    let bad_body = format!(
-        "{{\"path\": \"{}\", \"format\": \"binary\"}}",
-        nb_json.display()
-    );
-    let (status, _) = request(addr, "POST", "/admin/reload", Some(&bad_body));
-    assert_eq!(status, 500, "JSON bytes under format=binary must fail");
 
     // Corrupt the packed file (flip one payload byte): the reload
     // fails with a checksum error and the old model keeps serving.

@@ -18,7 +18,6 @@ use urlid_classifiers::VectorClassifier;
 use urlid_features::SparseVector;
 use urlid_serve::http;
 use urlid_serve::server::{spawn, ServeConfig, ServerHandle, ServerState};
-use urlid_serve::ResultCache;
 
 fn trained_identifier() -> LanguageIdentifier {
     let mut generator = UrlGenerator::new(5);
@@ -677,9 +676,7 @@ fn reload_invalidates_every_cache_shard_set_across_reactors() {
         bundle.into_identifier(),
         Some(nb_path.clone()),
         4096,
-        ResultCache::DEFAULT_SHARDS,
         2,
-        false,
     ));
     let config = ServeConfig {
         reactors: 2,

@@ -6,17 +6,17 @@
 //! runtime structures (mmap + validate + cast, no deserialisation).
 //! A packed model must therefore be **indistinguishable** from the
 //! JSON-loaded one — bit-identical scores, not merely close — for all
-//! fifteen algorithm × feature recipes, on both weight lanes:
+//! fifteen algorithm × feature recipes, on both scoring lanes:
 //!
-//! * the exact `f64` lane (the mapped matrix is the same bytes the
+//! * the compiled plane (the mapped matrix is the same bytes the
 //!   compiler produced);
-//! * the quantised `f32` lane (`.urlm` always carries the `MATRIX32`
-//!   section, produced by the same deterministic quantisation that
-//!   `compile_f32` performs — so a mapped f32 lane and a recompiled
-//!   one must agree to the bit);
 //! * the interpreted oracle (the `MODELS` section round-trips the
 //!   training-time models, so `score_all_interpreted` works on
 //!   binary-loaded sets too).
+//!
+//! Files packed before the quantised `f32` lane was removed carry one
+//! more section (id 7, `MATRIX32`). They must keep loading, and score
+//! exactly as a fresh pack does.
 
 use urlid::prelude::*;
 
@@ -125,28 +125,126 @@ fn every_recipe_packs_and_serves_bit_identically_on_both_lanes() {
                     "{tag}: interpreted scores diverge on {url}"
                 );
             }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-            // Quantised f32 lane: the packed MATRIX32 section against a
-            // lane recompiled from the JSON-loaded model.
-            let mut from_json = from_json;
-            let mut from_urlm = from_urlm;
-            assert_eq!(from_json.classifier_set_mut().set_weight_lane(true), "f32");
-            assert_eq!(from_urlm.classifier_set_mut().set_weight_lane(true), "f32");
-            for url in &sample {
-                assert_eq!(
-                    from_json.classifier_set().score_all(url),
-                    from_urlm.classifier_set().score_all(url),
-                    "{tag}: f32 scores diverge on {url}"
-                );
-            }
-            // Flipping back restores the exact lane.
-            assert_eq!(from_urlm.classifier_set_mut().set_weight_lane(false), "f64");
-            let url = &sample[0];
+/// Re-emit a packed `.urlm` file with one more section, id 7, placed
+/// where older packers put `MATRIX32` (right after `MATRIX`). Written
+/// against the documented container layout: a 24-byte fixed header,
+/// 32-byte section entries (id · pad · offset · len · xxh64), then
+/// page-aligned section bodies.
+fn with_retired_section(packed: &[u8], retired: &[u8]) -> Vec<u8> {
+    let u32_at = |at: usize| u32::from_ne_bytes(packed[at..at + 4].try_into().unwrap());
+    let u64_at = |at: usize| u64::from_ne_bytes(packed[at..at + 8].try_into().unwrap());
+    let page = u32_at(16) as usize;
+    let mut sections: Vec<(u32, &[u8])> = (0..u32_at(20) as usize)
+        .map(|i| {
+            let at = 24 + i * 32;
+            let (offset, len) = (u64_at(at + 8) as usize, u64_at(at + 16) as usize);
+            (u32_at(at), &packed[offset..offset + len])
+        })
+        .collect();
+    let matrix = sections.iter().position(|(id, _)| *id == 6).unwrap();
+    sections.insert(matrix + 1, (7, retired));
+
+    let mut out = packed[..24].to_vec();
+    out[20..24].copy_from_slice(&(sections.len() as u32).to_ne_bytes());
+    let mut offsets = Vec::new();
+    let mut offset = (24 + sections.len() * 32).next_multiple_of(page);
+    for (id, bytes) in &sections {
+        out.extend_from_slice(&id.to_ne_bytes());
+        out.extend_from_slice(&0u32.to_ne_bytes());
+        out.extend_from_slice(&(offset as u64).to_ne_bytes());
+        out.extend_from_slice(&(bytes.len() as u64).to_ne_bytes());
+        out.extend_from_slice(&urlid::format::xxh64(bytes, 0).to_ne_bytes());
+        offsets.push(offset);
+        offset = (offset + bytes.len()).next_multiple_of(page);
+    }
+    for (at, (_, bytes)) in offsets.into_iter().zip(&sections) {
+        out.resize(at, 0);
+        out.extend_from_slice(bytes);
+    }
+    out
+}
+
+#[test]
+fn a_file_carrying_the_retired_matrix32_section_loads_and_scores_identically() {
+    let mut generator = UrlGenerator::new(78);
+    let training = odp_dataset(&mut generator, CorpusScale::tiny()).train;
+    let sample = url_sample();
+    let dir = std::env::temp_dir().join(format!("urlid-retired-section-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (feature_set, algorithm) in [
+        (FeatureSetKind::Words, Algorithm::NaiveBayes),
+        (FeatureSetKind::Trigrams, Algorithm::RelativeEntropy),
+        (FeatureSetKind::Custom, Algorithm::MaxEnt),
+    ] {
+        let tag = format!("{feature_set:?}/{algorithm:?}");
+        let config = TrainingConfig::new(feature_set, algorithm).with_maxent_iterations(6);
+        let bundle = ModelBundle::train(&training, &config).unwrap();
+        let fresh_path = dir.join(format!("{feature_set:?}-{algorithm:?}.urlm"));
+        bundle.pack(&fresh_path).unwrap();
+        let packed = std::fs::read(&fresh_path).unwrap();
+
+        // The retired section held the weight matrix narrowed to f32.
+        let file = urlid::format::UrlmFile::open(&fresh_path).unwrap();
+        let matrix = file
+            .section_bytes(urlid::format::SectionId::Matrix)
+            .unwrap();
+        let narrowed: Vec<u8> = matrix
+            .chunks_exact(8)
+            .flat_map(|w| (f64::from_ne_bytes(w.try_into().unwrap()) as f32).to_ne_bytes())
+            .collect();
+        let old = with_retired_section(&packed, &narrowed);
+        let old_path = dir.join(format!("{feature_set:?}-{algorithm:?}-old.urlm"));
+        std::fs::write(&old_path, &old).unwrap();
+
+        let report = urlid::inspect_model(&old_path).unwrap();
+        assert!(report.contains("MATRIX32"), "{tag}: {report}");
+        let fresh = ModelSource::detect(&fresh_path)
+            .unwrap()
+            .load_identifier()
+            .unwrap();
+        let source = ModelSource::detect(&old_path).unwrap();
+        assert_eq!(source.format(), ModelFormat::Binary, "{tag}");
+        let from_old = source
+            .load_identifier()
+            .unwrap_or_else(|e| panic!("{tag}: old file must load: {e}"));
+        for url in &sample {
             assert_eq!(
-                from_json.classifier_set().score_all_interpreted(url),
-                from_urlm.classifier_set().score_all_interpreted(url),
+                fresh.classifier_set().score_all(url),
+                from_old.classifier_set().score_all(url),
+                "{tag}: scores diverge on {url}"
+            );
+            assert_eq!(fresh.identify(url), from_old.identify(url), "{tag}: {url}");
+            assert_eq!(
+                fresh.classifier_set().score_all_interpreted(url),
+                from_old.classifier_set().score_all_interpreted(url),
+                "{tag}: interpreted scores diverge on {url}"
             );
         }
+
+        // The retired section is still checksummed: corrupting it fails
+        // the load closed.
+        let retired = urlid::format::UrlmFile::open(&old_path)
+            .unwrap()
+            .sections()
+            .iter()
+            .find(|s| s.id == 7)
+            .copied()
+            .unwrap();
+        let mut corrupt = old.clone();
+        corrupt[retired.offset as usize] ^= 0xFF;
+        std::fs::write(&old_path, &corrupt).unwrap();
+        assert!(
+            matches!(
+                ModelSource::binary(&old_path).load_identifier(),
+                Err(PersistenceError::ChecksumMismatch(_))
+            ),
+            "{tag}: a corrupt retired section must be rejected"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
