@@ -3,7 +3,7 @@
 //! ```sh
 //! # one experiment
 //! cargo run --release -p urlid-bench --bin experiments -- table7
-//! # everything (what EXPERIMENTS.md records)
+//! # everything
 //! cargo run --release -p urlid-bench --bin experiments -- all
 //! # bigger corpus (fraction of the paper's sizes)
 //! URLID_SCALE=0.1 cargo run --release -p urlid-bench --bin experiments -- table8

@@ -3,7 +3,7 @@
 //! Trains every persistable algorithm × feature recipe (15 of them)
 //! twice on the same sharded synthetic corpus — once at `--jobs 1`, once
 //! at `--jobs <cores>` — verifies the two models are **bit-identical**
-//! (serialised JSON equality plus score equality on a probe set), and
+//! (packed `.urlm` byte equality plus score equality on a probe set), and
 //! writes the per-recipe timings to `BENCH_train.json` (`"schema": 3`).
 //!
 //! The parallel leg runs through [`ModelBundle::train_traced`], the
@@ -198,27 +198,27 @@ fn run() -> Result<(), String> {
             let (bundle_parallel, parallel_secs, trace) =
                 timed_train_traced(&training, &tc, parallel)?;
 
-            // Parity: identical serialised models *and* identical probe
+            // Parity: identical packed models *and* identical probe
             // scores (the latter is what the serving layer would see).
             // Both checks run unconditionally so a byte divergence still
             // reports whether behaviour diverged too. The parallel leg
             // is traced, so byte parity also certifies the trace is a
             // pure observation.
-            let json_serial = bundle_serial.to_json().map_err(|e| e.to_string())?;
-            let json_parallel = bundle_parallel.to_json().map_err(|e| e.to_string())?;
-            let json_parity = json_serial == json_parallel;
+            let bytes_serial = bundle_serial.to_urlm_bytes().map_err(|e| e.to_string())?;
+            let bytes_parallel = bundle_parallel.to_urlm_bytes().map_err(|e| e.to_string())?;
+            let byte_parity = bytes_serial == bytes_parallel;
             let id_serial = bundle_serial.into_identifier();
             let id_parallel = bundle_parallel.into_identifier();
             let score_parity = probe.iter().all(|url| {
                 id_serial.classifier_set().score_all(url)
                     == id_parallel.classifier_set().score_all(url)
             });
-            if json_parity != score_parity {
+            if byte_parity != score_parity {
                 eprintln!(
-                    "  note: json parity {json_parity} but probe-score parity {score_parity}"
+                    "  note: byte parity {byte_parity} but probe-score parity {score_parity}"
                 );
             }
-            let parity = json_parity && score_parity;
+            let parity = byte_parity && score_parity;
             parity_all &= parity;
 
             let speedup = if parallel_secs > 0.0 {

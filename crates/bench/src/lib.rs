@@ -2,7 +2,8 @@
 //!
 //! The experiment harness that regenerates **every table and every
 //! figure** of Baykan, Henzinger, Weber (VLDB 2008) on the synthetic
-//! corpus, plus the ablation studies called out in DESIGN.md.
+//! corpus, plus ablations of the design choices behind them (see
+//! [`experiments::ablations`]).
 //!
 //! Two entry points:
 //!

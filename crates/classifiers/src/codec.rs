@@ -7,7 +7,8 @@
 //! (enums, sparse vectors), so they go through this explicit codec
 //! instead. Every scalar is written little-endian; floats round-trip
 //! **bit-exactly** via `to_le_bytes`/`from_le_bytes`, which is what
-//! keeps binary-loaded interpreted scores identical to the JSON oracle.
+//! keeps a loaded model's interpreted scores identical to the trained
+//! model's.
 //!
 //! The workspace deliberately vendors no binary-serde crate (the build
 //! container has no crates.io access), and the format wants stability
@@ -207,6 +208,28 @@ impl<'a> ByteReader<'a> {
             .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
             .collect())
     }
+}
+
+/// Test helper: encode `model` and decode it back, asserting that the
+/// decoder consumed every byte and rebuilt a model that serialises to
+/// the same JSON text. Returns the decoded model for score checks.
+#[cfg(test)]
+pub(crate) fn round_trip<T: serde::Serialize>(
+    model: &T,
+    write: fn(&T, &mut ByteWriter),
+    read: fn(&mut ByteReader<'_>) -> Result<T, CodecError>,
+) -> T {
+    let mut w = ByteWriter::new();
+    write(model, &mut w);
+    let bytes = w.into_bytes();
+    let mut r = ByteReader::new(&bytes);
+    let back = read(&mut r).expect("decodes");
+    assert!(r.is_exhausted(), "{} trailing bytes", r.remaining());
+    assert_eq!(
+        serde_json::to_string(model).unwrap(),
+        serde_json::to_string(&back).unwrap()
+    );
+    back
 }
 
 #[cfg(test)]

@@ -19,11 +19,11 @@
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::model::VectorClassifier;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use urlid_features::SparseVector;
 
 /// Configuration for decision-tree training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DecisionTreeConfig {
     /// Maximum tree depth (root = depth 0).
     pub max_depth: usize,
@@ -48,7 +48,7 @@ impl DecisionTreeConfig {
 }
 
 /// A node of the trained tree, stored in an arena.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 enum Node {
     /// A leaf with its majority decision and statistics.
     Leaf {
@@ -67,7 +67,7 @@ enum Node {
 }
 
 /// A trained binary decision tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
     root: usize,
@@ -556,8 +556,11 @@ mod tests {
     fn serde_round_trip() {
         let (pos, neg) = toy_training();
         let dt = DecisionTree::train(&pos, &neg, config());
-        let json = serde_json::to_string(&dt).unwrap();
-        let back: DecisionTree = serde_json::from_str(&json).unwrap();
+        let back =
+            crate::codec::round_trip(&dt, DecisionTree::write_binary, DecisionTree::read_binary);
         assert_eq!(dt, back);
+        for x in [dense(&[1.0, 2.0]), dense(&[0.0, 1.0])] {
+            assert_eq!(dt.score(&x).to_bits(), back.score(&x).to_bits());
+        }
     }
 }

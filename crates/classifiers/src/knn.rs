@@ -10,11 +10,11 @@
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::model::VectorClassifier;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use urlid_features::SparseVector;
 
 /// Configuration for the k-NN classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct KnnConfig {
     /// Number of neighbours to consult.
     pub k: usize,
@@ -28,7 +28,7 @@ impl Default for KnnConfig {
 
 /// A (lazy) k-nearest-neighbour binary classifier: training just stores
 /// the normalised examples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct KNearestNeighbors {
     /// Stored training examples: (L2-normalised dense-ish sparse vector, label).
     examples: Vec<(SparseVector, bool)>,
@@ -233,9 +233,13 @@ mod tests {
     fn serde_round_trip() {
         let (pos, neg) = toy_training();
         let knn = KNearestNeighbors::train(&pos, &neg, KnnConfig::default());
-        let json = serde_json::to_string(&knn).unwrap();
-        let back: KNearestNeighbors = serde_json::from_str(&json).unwrap();
+        let back = crate::codec::round_trip(
+            &knn,
+            KNearestNeighbors::write_binary,
+            KNearestNeighbors::read_binary,
+        );
         let x = vec_of(&[0, 1]);
+        assert_eq!(knn.score(&x).to_bits(), back.score(&x).to_bits());
         assert_eq!(knn.classify(&x), back.classify(&x));
     }
 }

@@ -23,11 +23,11 @@ use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::compile::{CompileScorer, Lowering};
 use crate::model::VectorClassifier;
 use crate::stats::{PartialCounts, StatsTrainer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use urlid_features::SparseVector;
 
 /// Configuration for Naive Bayes training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NaiveBayesConfig {
     /// Laplace smoothing strength α (default 1.0).
     pub alpha: f64,
@@ -44,7 +44,7 @@ impl NaiveBayesConfig {
 }
 
 /// A trained multinomial Naive Bayes binary classifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NaiveBayes {
     /// log p(j | +) − log p(j | −), indexed by feature.
     log_ratio: Vec<f64>,
@@ -312,9 +312,8 @@ mod tests {
     fn serde_round_trip() {
         let (pos, neg) = toy_training();
         let nb = NaiveBayes::train(&pos, &neg, NaiveBayesConfig::for_dim(8));
-        let json = serde_json::to_string(&nb).unwrap();
-        let back: NaiveBayes = serde_json::from_str(&json).unwrap();
+        let back = crate::codec::round_trip(&nb, NaiveBayes::write_binary, NaiveBayes::read_binary);
         let x = vec_of(&[0, 5]);
-        assert!((nb.score(&x) - back.score(&x)).abs() < 1e-12);
+        assert_eq!(nb.score(&x).to_bits(), back.score(&x).to_bits());
     }
 }

@@ -17,12 +17,12 @@
 
 use crate::compile::{CompileScorer, Lowering};
 use crate::model::VectorClassifier;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use urlid_features::SparseVector;
 
 /// Configuration for the rank-order classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RankOrderConfig {
     /// Number of top features kept in each class profile (Cavnar–Trenkle
     /// classically use 300 n-grams).
@@ -36,7 +36,7 @@ impl Default for RankOrderConfig {
 }
 
 /// A class profile: feature index → rank (0 = most frequent).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 struct Profile {
     ranks: HashMap<u32, usize>,
 }
@@ -82,7 +82,7 @@ impl Profile {
 }
 
 /// A trained rank-order binary classifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RankOrder {
     positive: Profile,
     negative: Profile,
@@ -253,14 +253,5 @@ mod tests {
     fn zero_profile_size_panics() {
         let (pos, neg) = toy_training();
         let _ = RankOrder::train(&pos, &neg, RankOrderConfig { profile_size: 0 });
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let (pos, neg) = toy_training();
-        let ro = RankOrder::train(&pos, &neg, RankOrderConfig::default());
-        let json = serde_json::to_string(&ro).unwrap();
-        let back: RankOrder = serde_json::from_str(&json).unwrap();
-        assert_eq!(ro, back);
     }
 }

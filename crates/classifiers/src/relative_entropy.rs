@@ -23,11 +23,11 @@ use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::compile::{CompileScorer, Lowering};
 use crate::model::VectorClassifier;
 use crate::stats::{PartialDistributions, StatsTrainer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use urlid_features::SparseVector;
 
 /// Configuration for the Relative Entropy classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RelativeEntropyConfig {
     /// Smoothing mass given to unseen features in the class distributions.
     pub epsilon: f64,
@@ -43,7 +43,7 @@ impl RelativeEntropyConfig {
 }
 
 /// A trained Relative Entropy binary classifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RelativeEntropy {
     /// Smoothed average distribution of the positive class.
     pos: Vec<f64>,
@@ -318,9 +318,12 @@ mod tests {
     fn serde_round_trip() {
         let (pos, neg) = toy_training();
         let re = RelativeEntropy::train(&pos, &neg, RelativeEntropyConfig::for_dim(6));
-        let json = serde_json::to_string(&re).unwrap();
-        let back: RelativeEntropy = serde_json::from_str(&json).unwrap();
+        let back = crate::codec::round_trip(
+            &re,
+            RelativeEntropy::write_binary,
+            RelativeEntropy::read_binary,
+        );
         let x = vec_of(&[0, 5]);
-        assert!((re.score(&x) - back.score(&x)).abs() < 1e-12);
+        assert_eq!(re.score(&x).to_bits(), back.score(&x).to_bits());
     }
 }

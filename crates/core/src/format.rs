@@ -1,9 +1,8 @@
 //! The `.urlm` container: a page-aligned, checksummed binary model
 //! format whose sections *are* the runtime structures.
 //!
-//! A JSON model load parses text into training-time structs and then
-//! recompiles the dense scoring plane. A `.urlm` load is `mmap(2)` +
-//! header validation + typed casts: the interned vocabulary arena, the
+//! A `.urlm` load is `mmap(2)` + header validation + typed casts of the
+//! dense sections, with no plane compilation: the interned vocabulary arena, the
 //! open-addressing probe table and the dense weight matrices are stored
 //! exactly as the compiled plane keeps them in memory, each section
 //! page-aligned so a [`Lane`] view over the mapping satisfies every
@@ -32,7 +31,9 @@
 //! file is rejected before any multi-byte field is trusted. Dense
 //! sections are likewise native-order — they must be, to be castable —
 //! which makes a `.urlm` file a *host* format, not an interchange
-//! format. JSON remains the interchange representation.
+//! format: a file from a machine of the other endianness is refused,
+//! and the portable artifact is the training corpus, from which a model
+//! retrains bit-deterministically.
 //!
 //! ## Validation order
 //!

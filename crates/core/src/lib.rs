@@ -48,9 +48,7 @@ pub mod recipes;
 pub mod trainer;
 
 pub use identifier::LanguageIdentifier;
-pub use persistence::{
-    inspect_model, ModelBundle, ModelFormat, ModelSource, PackReport, PersistenceError,
-};
+pub use persistence::{inspect_model, ModelBundle, ModelSource, PersistenceError};
 pub use trainer::{
     train_classifier_set, train_classifier_set_with, train_language_classifier, GisTrace,
     TrainOptions, TrainTrace, TrainingConfig, DEFAULT_TRAIN_SHARDS,
@@ -67,7 +65,7 @@ pub use urlid_tokenize as tokenize;
 /// Commonly used items, for `use urlid::prelude::*`.
 pub mod prelude {
     pub use crate::identifier::LanguageIdentifier;
-    pub use crate::persistence::{ModelBundle, ModelFormat, ModelSource, PersistenceError};
+    pub use crate::persistence::{ModelBundle, ModelSource, PersistenceError};
     pub use crate::recipes;
     pub use crate::trainer::{
         train_classifier_set, train_classifier_set_with, train_language_classifier, GisTrace,

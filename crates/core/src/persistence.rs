@@ -1,32 +1,31 @@
-//! Model persistence: the JSON interchange format and the `.urlm`
-//! zero-copy binary format behind one format-aware API.
+//! Model persistence: the `.urlm` zero-copy binary format, the one
+//! on-disk form of a trained model.
 //!
 //! The paper's crawler scenario trains once on hundreds of thousands of
 //! labelled URLs and then classifies billions of frontier URLs; retraining
-//! at every crawler start-up would be wasteful. [`ModelBundle`] is the
-//! serialisable form of a trained identifier: the fitted feature extractor
-//! plus the five per-language models and the training configuration.
+//! at every crawler start-up would be wasteful. [`ModelBundle`] is a
+//! trained identifier before it is persisted: the fitted feature
+//! extractor plus the five per-language models and the training
+//! configuration.
 //!
-//! Two on-disk representations exist:
+//! [`ModelBundle::pack`] writes it as a `.urlm` file ([`crate::format`]):
+//! the compiled plane's runtime arrays laid out page-aligned, so loading
+//! is mmap + validate + cast, plus a MODELS section that carries the
+//! training-time models bit-exactly for the interpreted oracle.
+//! [`ModelSource`] loads it back. The `binary_differential` suite
+//! asserts bit-identical scores between the in-memory bundle and its
+//! `.urlm` load for every recipe, through the compiled plane and the
+//! interpreted oracle alike.
 //!
-//! * **JSON** — the interchange and oracle format: the training-time
-//!   structs, portable across endianness, diffable, and the input to
-//!   every differential test. Loading parses and then recompiles the
-//!   dense scoring plane.
-//! * **`.urlm` binary** ([`crate::format`]) — the serving format: the
-//!   compiled plane's runtime arrays laid out page-aligned so loading
-//!   is mmap + validate + cast. [`ModelBundle::pack`] writes it;
-//!   [`ModelSource`] loads either format behind magic-byte sniffing.
-//!
-//! The two paths are provably equivalent: the `binary_differential`
-//! suite asserts bit-identical scores for every recipe, through the
-//! compiled plane and the interpreted oracle alike.
+//! `.urlm` is a native-endian host format; the portable artifact is
+//! the training corpus, from which `urlid train` rebuilds a model
+//! bit-deterministically.
 //!
 //! Only single-configuration models are persistable (the ccTLD baselines
 //! need no persistence, and the Section 5.6 combinations can be rebuilt
 //! from two bundles).
 
-use crate::format::{looks_binary, SectionId, UrlmFile, UrlmWriter};
+use crate::format::{looks_binary, SectionId, UrlmFile, UrlmWriter, URLM_MAGIC};
 use crate::identifier::LanguageIdentifier;
 use crate::trainer::{
     train_pipeline, train_pipeline_traced, AnyExtractor, AnyModel, TrainOptions, TrainTrace,
@@ -44,18 +43,18 @@ use urlid_features::{
     CompiledTransform, CustomFeatureExtractor, Dataset, FeatureExtractor, InternedVocabulary,
     RestoredExtractor, TransformMeta,
 };
-use urlid_lexicon::{Language, ALL_LANGUAGES};
+use urlid_lexicon::ALL_LANGUAGES;
 
-/// Errors that can occur when saving or loading a model, covering both
-/// formats: I/O and JSON problems, and the `.urlm` container's
-/// corruption taxonomy — every way a binary file can fail validation is
+/// Errors that can occur when saving or loading a model: I/O problems,
+/// the META section's JSON, and the `.urlm` container's corruption
+/// taxonomy — every way a binary file can fail validation is
 /// a distinct variant, so callers (and tests) can tell a truncated
 /// download from a bit-flipped sector from a version skew.
 #[derive(Debug)]
 pub enum PersistenceError {
     /// Filesystem error.
     Io(io::Error),
-    /// (De)serialisation error.
+    /// (De)serialisation error of the META section's JSON document.
     Serde(serde_json::Error),
     /// The configuration is not persistable (ccTLD baselines).
     NotPersistable(Algorithm),
@@ -124,8 +123,8 @@ impl From<CodecError> for PersistenceError {
     }
 }
 
-/// A serialisable trained model: one fitted extractor + five binary models.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A trained model: one fitted extractor + five binary models.
+#[derive(Debug, Clone)]
 pub struct ModelBundle {
     config: TrainingConfig,
     extractor: AnyExtractor,
@@ -140,8 +139,8 @@ impl ModelBundle {
     }
 
     /// [`ModelBundle::train`] with explicit parallelism options: the
-    /// map-reduce pipeline of [`crate::trainer`]. The persisted JSON is
-    /// bit-identical at any job and shard count.
+    /// map-reduce pipeline of [`crate::trainer`]. The packed `.urlm`
+    /// bytes are identical at any job and shard count.
     pub fn train_with(
         training: &Dataset,
         config: &TrainingConfig,
@@ -188,21 +187,13 @@ impl ModelBundle {
         &self.config
     }
 
-    /// Binary decision for one URL and language straight from the bundle.
-    pub fn is_language(&self, url: &str, lang: Language) -> bool {
-        let v = self.extractor.transform(url);
-        self.models[lang.index()].classify(&v)
-    }
-
     /// Convert into a ready-to-use [`LanguageIdentifier`] on the
     /// single-pass scoring pipeline (one shared extractor, five vector
     /// models).
     ///
-    /// The identifier's classifier set is **compiled** on the way out:
-    /// the load path — server start-up and `POST /admin/reload` alike —
-    /// always serves through the fused dense-weight plane, while the
-    /// persisted JSON keeps the training-time representation (the
-    /// compiled plane is a pure function of it, rebuilt at every load).
+    /// The identifier's classifier set is **compiled** on the way out,
+    /// exactly as [`ModelBundle::pack`] compiles it, while the
+    /// training-time models stay behind it as the interpreted oracle.
     pub fn into_identifier(self) -> LanguageIdentifier {
         let extractor = Arc::new(self.extractor);
         let mut per_lang: Vec<Option<AnyModel>> = self.models.into_iter().map(Some).collect();
@@ -216,50 +207,29 @@ impl ModelBundle {
         LanguageIdentifier::from_classifier_set(set, self.config)
     }
 
-    /// Serialise to a JSON string.
-    pub fn to_json(&self) -> Result<String, PersistenceError> {
-        Ok(serde_json::to_string(self)?)
-    }
-
-    /// Deserialise from a JSON string.
-    pub fn from_json(json: &str) -> Result<Self, PersistenceError> {
-        Ok(serde_json::from_str(json)?)
-    }
-
-    /// Save to a file in the JSON interchange format.
-    pub fn save_json(&self, path: impl AsRef<Path>) -> Result<(), PersistenceError> {
-        std::fs::write(path, self.to_json()?)?;
-        Ok(())
-    }
-
-    /// Load a bundle from a JSON file. Rejects `.urlm` bytes with
-    /// [`PersistenceError::BadMagic`]-adjacent clarity instead of a
-    /// JSON parse error.
-    pub fn load_json(path: impl AsRef<Path>) -> Result<Self, PersistenceError> {
-        let bytes = std::fs::read(path)?;
-        if looks_binary(&bytes) {
-            return Err(PersistenceError::Corrupt(
-                "file is a .urlm binary model; a ModelBundle only exists for JSON models — \
-                 load it through ModelSource instead"
-                    .into(),
-            ));
-        }
-        let text = String::from_utf8(bytes)
-            .map_err(|e| PersistenceError::Corrupt(format!("model JSON is not UTF-8: {e}")))?;
-        Self::from_json(&text)
-    }
-
     /// Pack the bundle into the `.urlm` zero-copy binary format at
-    /// `path` (written atomically: temporary file + rename).
+    /// `path` (written atomically: temporary file + rename). Returns the
+    /// file size in bytes.
     ///
     /// The file's dense sections are the *compiled* representation —
     /// the same interned vocabulary and weight matrices
-    /// [`ModelBundle::into_identifier`] builds — so a binary load skips
-    /// both JSON parsing and plane compilation. The training-time
-    /// models are carried along in a compact tagged codec (the MODELS
-    /// section), keeping the interpreted oracle scoring path available
-    /// on binary-loaded sets.
-    pub fn pack(&self, path: impl AsRef<Path>) -> Result<PackReport, PersistenceError> {
+    /// [`ModelBundle::into_identifier`] builds — so a load skips plane
+    /// compilation. The training-time models are carried along in a
+    /// compact tagged codec (the MODELS section), keeping the
+    /// interpreted oracle scoring path available on loaded sets.
+    pub fn pack(&self, path: impl AsRef<Path>) -> Result<u64, PersistenceError> {
+        Ok(self.urlm_writer()?.write_to(path)?)
+    }
+
+    /// The exact `.urlm` image [`ModelBundle::pack`] writes, in memory.
+    /// Packing is deterministic, so two bundles trained alike compare
+    /// equal here byte for byte.
+    pub fn to_urlm_bytes(&self) -> Result<Vec<u8>, PersistenceError> {
+        Ok(self.urlm_writer()?.to_bytes())
+    }
+
+    /// Lay the bundle out as `.urlm` sections.
+    fn urlm_writer(&self) -> Result<UrlmWriter, PersistenceError> {
         // Serialise the training-time models first, from the bundle
         // itself (into_identifier consumes a clone).
         let mut models = ByteWriter::new();
@@ -315,14 +285,7 @@ impl ModelBundle {
             writer.push(SectionId::Markov, payload.markov);
         }
         writer.push(SectionId::Models, models.into_bytes());
-
-        let bytes = writer.write_to(path)?;
-        Ok(PackReport {
-            bytes,
-            vocab_len,
-            dim: meta.plane.dim,
-            stride: meta.plane.stride,
-        })
+        Ok(writer)
     }
 }
 
@@ -344,19 +307,6 @@ fn u64_bytes(values: &[u64]) -> Vec<u8> {
         out.extend_from_slice(&v.to_ne_bytes());
     }
     out
-}
-
-/// What [`ModelBundle::pack`] wrote, for logs and the `urlid pack` CLI.
-#[derive(Debug, Clone, Copy)]
-pub struct PackReport {
-    /// Total file size in bytes.
-    pub bytes: u64,
-    /// Vocabulary cardinality (0 for custom-feature models).
-    pub vocab_len: usize,
-    /// Feature-space dimensionality of the weight matrix.
-    pub dim: usize,
-    /// Weight-matrix stride (scoring lanes per feature).
-    pub stride: usize,
 }
 
 /// The META section document: everything about a packed model that is
@@ -382,84 +332,31 @@ enum ExtractorMeta {
     Custom(CustomFeatureExtractor),
 }
 
-/// On-disk model representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelFormat {
-    /// The JSON interchange format (training-time structs).
-    Json,
-    /// The `.urlm` zero-copy binary format (compiled runtime structs).
-    Binary,
-}
-
-impl ModelFormat {
-    /// Lower-case name, as reported by `/healthz` and `/admin/reload`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ModelFormat::Json => "json",
-            ModelFormat::Binary => "binary",
-        }
-    }
-}
-
-impl std::fmt::Display for ModelFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// A model file plus the format it is in — the one way every load path
-/// (CLI boot, `/admin/reload`, tools) resolves "some path the operator
-/// gave us" into a servable identifier.
+/// A `.urlm` model file — the one way every load path (CLI boot,
+/// `/admin/reload`, tools) resolves "some path the operator gave us"
+/// into a servable identifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelSource {
     path: PathBuf,
-    format: ModelFormat,
 }
 
 impl ModelSource {
-    /// A JSON model at `path`.
-    pub fn json(path: impl Into<PathBuf>) -> Self {
-        Self {
-            path: path.into(),
-            format: ModelFormat::Json,
-        }
-    }
-
-    /// A `.urlm` binary model at `path`.
-    pub fn binary(path: impl Into<PathBuf>) -> Self {
-        Self {
-            path: path.into(),
-            format: ModelFormat::Binary,
-        }
-    }
-
-    /// Detect the format of the file at `path`.
+    /// Check that the file at `path` starts with the `.urlm` magic.
     ///
-    /// The first 8 bytes decide: the `.urlm` magic means binary,
-    /// anything else means JSON. The extension is only a cross-check —
-    /// a `.urlm` file *without* the magic is reported as corrupt rather
-    /// than silently fed to the JSON parser.
+    /// A file without it is [`PersistenceError::BadMagic`], whatever its
+    /// extension — a JSON model written before `.urlm` became the only
+    /// model file included.
     pub fn detect(path: impl Into<PathBuf>) -> Result<Self, PersistenceError> {
+        use std::io::Read as _;
         let path = path.into();
-        let mut prefix = [0u8; 8];
-        let sniffed = {
-            use std::io::Read as _;
-            let mut file = std::fs::File::open(&path)?;
-            let n = file.read(&mut prefix)?;
-            looks_binary(&prefix[..n])
-        };
-        let hinted = path.extension().is_some_and(|e| e == "urlm");
-        if hinted && !sniffed {
+        let mut prefix = Vec::with_capacity(URLM_MAGIC.len());
+        std::fs::File::open(&path)?
+            .take(URLM_MAGIC.len() as u64)
+            .read_to_end(&mut prefix)?;
+        if !looks_binary(&prefix) {
             return Err(PersistenceError::BadMagic);
         }
-        Ok(Self {
-            path,
-            format: if sniffed {
-                ModelFormat::Binary
-            } else {
-                ModelFormat::Json
-            },
-        })
+        Ok(Self { path })
     }
 
     /// The file path.
@@ -467,22 +364,13 @@ impl ModelSource {
         &self.path
     }
 
-    /// The resolved format.
-    pub fn format(&self) -> ModelFormat {
-        self.format
-    }
-
-    /// Load a ready-to-serve identifier.
-    ///
-    /// JSON loads deserialise the bundle and recompile the plane;
-    /// binary loads map the file and serve straight out of its
-    /// sections. Either way the returned identifier scores
-    /// bit-identically (the `binary_differential` suite's contract).
+    /// Load a ready-to-serve identifier: map and validate the file,
+    /// rebuild the vocabulary and plane over zero-copy views of its
+    /// sections, and decode the five training-time models. The result
+    /// scores bit-identically to the bundle that was packed (the
+    /// `binary_differential` suite's contract).
     pub fn load_identifier(&self) -> Result<LanguageIdentifier, PersistenceError> {
-        match self.format {
-            ModelFormat::Json => Ok(ModelBundle::load_json(&self.path)?.into_identifier()),
-            ModelFormat::Binary => load_binary(&self.path),
-        }
+        load_binary(&self.path)
     }
 }
 
@@ -633,28 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn bundle_round_trips_through_json() {
-        let training = tiny_training();
-        let bundle = ModelBundle::train(&training, &TrainingConfig::paper_best()).unwrap();
-        let json = bundle.to_json().unwrap();
-        let restored = ModelBundle::from_json(&json).unwrap();
-        // Decisions are identical before and after the round trip.
-        let mut g = UrlGenerator::new(22);
-        let profile = urlid_corpus::DatasetProfile::web_crawl();
-        for lang in ALL_LANGUAGES {
-            for url in g.generate_many(lang, &profile, 20) {
-                for l in ALL_LANGUAGES {
-                    assert_eq!(
-                        bundle.is_language(&url, l),
-                        restored.is_language(&url, l),
-                        "{url} / {l}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn bundle_agrees_with_directly_trained_identifier() {
         let training = tiny_training();
         let config = TrainingConfig::paper_best();
@@ -675,24 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn save_and_load_files() {
-        let training = tiny_training();
-        let bundle = ModelBundle::train(
-            &training,
-            &TrainingConfig::new(FeatureSetKind::Custom, Algorithm::DecisionTree),
-        )
-        .unwrap();
-        let dir = std::env::temp_dir().join("urlid-persistence-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.json");
-        bundle.save_json(&path).unwrap();
-        let loaded = ModelBundle::load_json(&path).unwrap();
-        assert_eq!(loaded.config().algorithm, Algorithm::DecisionTree);
-        assert!(ModelBundle::load_json(dir.join("missing.json")).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn cctld_is_not_persistable() {
         let training = tiny_training();
         let err = ModelBundle::train(
@@ -707,12 +555,6 @@ mod tests {
         assert!(err.to_string().contains("ccTLD"));
     }
 
-    #[test]
-    fn corrupt_json_is_rejected() {
-        assert!(ModelBundle::from_json("{not json").is_err());
-        assert!(ModelBundle::from_json("{\"config\": 3}").is_err());
-    }
-
     fn temp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("urlid-persistence-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -720,68 +562,31 @@ mod tests {
     }
 
     #[test]
-    fn packed_model_serves_identically_to_json() {
-        let training = tiny_training();
-        let config = TrainingConfig::paper_best();
-        let bundle = ModelBundle::train(&training, &config).unwrap();
-        let json_path = temp_path("parity.json");
-        let urlm_path = temp_path("parity.urlm");
-        bundle.save_json(&json_path).unwrap();
-        let report = bundle.pack(&urlm_path).unwrap();
-        assert!(report.bytes > 0);
-        assert!(report.vocab_len > 0);
-        assert_eq!(report.dim, report.vocab_len);
-
-        // Sniffing resolves each file to its format.
-        let json_src = ModelSource::detect(&json_path).unwrap();
-        let urlm_src = ModelSource::detect(&urlm_path).unwrap();
-        assert_eq!(json_src.format(), ModelFormat::Json);
-        assert_eq!(urlm_src.format(), ModelFormat::Binary);
-
-        let from_json = json_src.load_identifier().unwrap();
-        let from_urlm = urlm_src.load_identifier().unwrap();
-        assert!(from_urlm.classifier_set().plane().unwrap().is_mapped());
-        let mut g = UrlGenerator::new(31);
-        let profile = urlid_corpus::DatasetProfile::web_crawl();
-        for lang in ALL_LANGUAGES {
-            for url in g.generate_many(lang, &profile, 10) {
-                assert_eq!(
-                    from_json.classifier_set().score_all(&url),
-                    from_urlm.classifier_set().score_all(&url),
-                    "{url}"
-                );
-                // The interpreted oracle survives the binary round trip
-                // too (the MODELS section).
-                assert_eq!(
-                    from_json.classifier_set().score_all_interpreted(&url),
-                    from_urlm.classifier_set().score_all_interpreted(&url),
-                    "{url} (interpreted)"
-                );
-            }
-        }
-        std::fs::remove_file(&json_path).ok();
-        std::fs::remove_file(&urlm_path).ok();
-    }
-
-    #[test]
     fn model_source_resolution_rules() {
-        // A .urlm extension without the magic is rejected, not fed to
-        // the JSON parser.
-        let path = temp_path("fake.urlm");
-        std::fs::write(&path, b"{\"this\": \"is json\"}").unwrap();
-        assert!(matches!(
-            ModelSource::detect(&path),
-            Err(PersistenceError::BadMagic)
-        ));
-        std::fs::remove_file(&path).ok();
-        // Loading a .urlm through the bundle API is a typed error.
+        // A file without the magic is rejected whatever its extension:
+        // JSON text, a JSON model's name, or nothing at all.
+        let json: &[u8] = b"{\"this\": \"is json\"}";
+        for (name, text) in [
+            ("fake.urlm", json),
+            ("model.json", json),
+            ("empty.urlm", b""),
+        ] {
+            let path = temp_path(name);
+            std::fs::write(&path, text).unwrap();
+            let err = ModelSource::detect(&path).unwrap_err();
+            assert!(matches!(err, PersistenceError::BadMagic), "{name}: {err}");
+            assert_eq!(err.to_string(), "not a .urlm model file (bad magic)");
+            std::fs::remove_file(&path).ok();
+        }
+        // `pack` writes exactly the in-memory image and reports its size.
         let path = temp_path("real.urlm");
         let bundle = ModelBundle::train(&tiny_training(), &TrainingConfig::paper_best()).unwrap();
-        bundle.pack(&path).unwrap();
-        assert!(matches!(
-            ModelBundle::load_json(&path),
-            Err(PersistenceError::Corrupt(_))
-        ));
+        let bytes = bundle.pack(&path).unwrap();
+        let image = bundle.to_urlm_bytes().unwrap();
+        assert_eq!(bytes, image.len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), image);
+        let source = ModelSource::detect(&path).unwrap();
+        assert_eq!(source.path(), path.as_path());
         std::fs::remove_file(&path).ok();
     }
 

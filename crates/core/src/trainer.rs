@@ -306,7 +306,7 @@ impl TrainingConfig {
 }
 
 /// The concrete extractor for a feature family.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub(crate) enum AnyExtractor {
     Words(WordFeatureExtractor),
     Trigrams(TrigramFeatureExtractor),
@@ -445,7 +445,7 @@ impl AnyExtractor {
 }
 
 /// The concrete trained model for any of the learning algorithms.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub(crate) enum AnyModel {
     NaiveBayes(NaiveBayes),
     RelativeEntropy(RelativeEntropy),
@@ -1025,8 +1025,8 @@ mod tests {
             let a = crate::ModelBundle::train_with(&train, &config, opts1).unwrap();
             let b = crate::ModelBundle::train_with(&train, &config, opts4).unwrap();
             assert_eq!(
-                a.to_json().unwrap(),
-                b.to_json().unwrap(),
+                a.to_urlm_bytes().unwrap(),
+                b.to_urlm_bytes().unwrap(),
                 "{feature_set:?}: jobs=1 and jobs=4 diverge at shards=5"
             );
         }

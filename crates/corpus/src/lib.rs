@@ -7,7 +7,7 @@
 //! (an ODP/dmoz crawl, Microsoft Live Search results and a hand-labelled
 //! 2005 web crawl). This crate generates *synthetic substitutes* that
 //! reproduce the distributional properties the paper identifies as
-//! decisive (see DESIGN.md for the substitution rationale):
+//! decisive, each calibrated against the paper result named with it:
 //!
 //! * per-language **top-level-domain mixes** calibrated so that the ccTLD
 //!   baseline achieves roughly the recall the paper reports per data set

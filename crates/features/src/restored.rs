@@ -16,7 +16,8 @@
 //! The compiled transform is proven bit-identical to the source
 //! extractor's `transform_with` (module tests in [`crate::compiled`]
 //! plus the workspace differential suite), which is what makes a
-//! `.urlm`-loaded model indistinguishable from its JSON oracle.
+//! `.urlm`-loaded model indistinguishable from the trained one it was
+//! packed from.
 
 use crate::compiled::CompiledTransform;
 use crate::dataset::LabeledUrl;

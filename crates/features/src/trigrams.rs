@@ -20,12 +20,12 @@ use crate::intern::InternedVocabulary;
 use crate::scratch::ExtractScratch;
 use crate::vector::SparseVector;
 use crate::vocabulary::{Vocabulary, VocabularyBuilder};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use urlid_tokenize::{ngram, Tokenizer};
 
 /// Whether trigrams are computed within tokens (the paper's choice) or
 /// over the raw URL string (the alternative the paper mentions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum TrigramScope {
     /// Trigrams within tokens only (paper default).
     #[default]
@@ -35,7 +35,7 @@ pub enum TrigramScope {
 }
 
 /// Configuration for the trigram feature extractor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TrigramFeatureConfig {
     /// n-gram length (3 in the paper; 2–5 supported for ablations).
     pub n: usize,
@@ -74,7 +74,7 @@ impl Default for TrigramFeatureConfig {
 /// let v = ex.transform("http://other.uk/weather");
 /// assert!(v.sum() > 0.0);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TrigramFeatureExtractor {
     config: TrigramFeatureConfig,
     vocabulary: Vocabulary,
@@ -336,18 +336,5 @@ mod tests {
         ex.fit(&training());
         let idx = ex.vocabulary().get("the").unwrap();
         assert_eq!(ex.feature_name(idx).unwrap(), "3gram:\"the\"");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut ex = TrigramFeatureExtractor::default();
-        ex.fit(&training());
-        let json = serde_json::to_string(&ex).unwrap();
-        let back: TrigramFeatureExtractor = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.dim(), ex.dim());
-        assert_eq!(
-            back.transform("http://weather.de/"),
-            ex.transform("http://weather.de/")
-        );
     }
 }

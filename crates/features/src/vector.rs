@@ -10,11 +10,11 @@
 //! Entropy classifier converts each vector into a probability
 //! distribution) and accumulation into dense per-class statistics.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A sparse vector of non-negative feature values, stored as sorted
 /// `(index, value)` pairs with unique indices.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SparseVector {
     entries: Vec<(u32, f64)>,
 }
@@ -303,13 +303,5 @@ mod tests {
             let pairs = dense.iter().enumerate().map(|(i, &x)| (i as u32, x));
             assert_eq!(v, SparseVector::from_pairs(pairs), "{dense:?}");
         }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let v = SparseVector::from_counts(vec![0, 0, 9]);
-        let json = serde_json::to_string(&v).unwrap();
-        let back: SparseVector = serde_json::from_str(&json).unwrap();
-        assert_eq!(v, back);
     }
 }

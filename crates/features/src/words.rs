@@ -20,11 +20,11 @@ use crate::intern::InternedVocabulary;
 use crate::scratch::ExtractScratch;
 use crate::vector::SparseVector;
 use crate::vocabulary::{Vocabulary, VocabularyBuilder};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use urlid_tokenize::Tokenizer;
 
 /// Configuration for the word feature extractor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WordFeatureConfig {
     /// Minimum number of training occurrences for a token to enter the
     /// vocabulary (1 keeps every token, matching the paper).
@@ -58,7 +58,7 @@ impl Default for WordFeatureConfig {
 /// let v = ex.transform("http://www.recherche.fr/produits");
 /// assert!(v.sum() >= 3.0); // recherche, fr, produits all in vocabulary
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct WordFeatureExtractor {
     config: WordFeatureConfig,
     vocabulary: Vocabulary,
@@ -276,18 +276,5 @@ mod tests {
         let idx = ex.vocabulary().get("paris").unwrap();
         assert_eq!(ex.feature_name(idx).unwrap(), "word:paris");
         assert!(ex.feature_name(10_000).is_none());
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_vocabulary() {
-        let mut ex = WordFeatureExtractor::default();
-        ex.fit(&training());
-        let json = serde_json::to_string(&ex).unwrap();
-        let back: WordFeatureExtractor = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.dim(), ex.dim());
-        assert_eq!(
-            back.transform("http://www.weather.co.uk/"),
-            ex.transform("http://www.weather.co.uk/")
-        );
     }
 }

@@ -2,20 +2,20 @@
 //!
 //! ```text
 //! urlid generate --seed 42 --scale 0.02 --out corpus/        write synthetic ODP/SER/WC data sets (JSON)
-//! urlid train --data corpus/odp-train.json --out model.json  train a model (default: NB + word features)
-//! urlid identify --model model.json <url> [<url> ...]        print the language of each URL
-//! urlid identify --model model.json                          ... or read URLs from stdin, one per line
-//! urlid evaluate --model model.json --data corpus/odp-test.json   paper metrics on a labelled test set
-//! urlid pack --model model.json --out model.urlm             convert to the zero-copy binary format
+//! urlid train --data corpus/odp-train.json --out model.urlm  train a model (default: NB + word features)
+//! urlid identify --model model.urlm <url> [<url> ...]        print the language of each URL
+//! urlid identify --model model.urlm                          ... or read URLs from stdin, one per line
+//! urlid evaluate --model model.urlm --data corpus/odp-test.json   paper metrics on a labelled test set
 //! urlid inspect model.urlm                                   dump the .urlm header and section table
 //! urlid loadtime --model model.urlm                          measure model cold-load latency
 //! urlid serve --model model.urlm --addr 127.0.0.1:7878       HTTP serving layer (see urlid-serve docs)
 //! ```
 //!
-//! Every model-taking subcommand accepts either format: JSON is the
-//! interchange/oracle representation, `.urlm` the page-aligned binary
-//! that loads by `mmap` + validate + cast. The file's magic bytes
-//! decide which one it is.
+//! A model file is always `.urlm`: the page-aligned binary that loads by
+//! `mmap` + validate + cast. A file without the `.urlm` magic — a JSON
+//! model from before `.urlm` was the only model file, say — is refused
+//! with `not a .urlm model file (bad magic)`; retrain it from the
+//! corpus with `urlid train`.
 //!
 //! The argument parser is hand-rolled (no extra dependencies); every
 //! subcommand prints usage on `--help` and rejects flags it does not
@@ -46,7 +46,7 @@ USAGE:
   urlid generate --out <dir> [--seed <u64>] [--scale <f64>] [--jobs <n>]
                  (--jobs 0 = one worker per core; the generated corpus is
                   bit-identical at any --jobs value)
-  urlid train    --data <dataset.json> --out <model.json|model.urlm>
+  urlid train    --data <dataset.json> --out <model.urlm>
                  [--features words|trigrams|custom] [--algorithm nb|re|me|dt|knn]
                  [--seed <u64>] [--jobs <n>] [--shards <n>] [--verbose]
                  (--jobs 0 = one worker per core; for a fixed --shards the
@@ -54,20 +54,16 @@ USAGE:
                   --verbose prints the training trace to stderr: per-shard
                   fit/vectorize timings, per-language model timings, and
                   GIS convergence deltas for maxent — same model bytes.
-                  an --out ending in .urlm writes the binary format
-                  directly; anything else writes JSON)
+                  --out is always written as .urlm, whatever its name)
   urlid identify --model <model> [<url> ...]           (reads stdin when no URLs given)
   urlid evaluate --model <model> --data <dataset.json>
-  urlid pack     --model <model.json> --out <model.urlm>
-                 (convert a JSON model to the page-aligned, checksummed,
-                  mmap-servable .urlm binary format)
   urlid inspect  <model.urlm>
                  (print header, section table with offsets/checksums,
                   and model cardinalities)
   urlid loadtime --model <model> [--repeat <n>]
                  (cold-load the model n times — default 3 — and print the
                   best wall-clock milliseconds to stdout; used by CI to
-                  gate binary loads beating JSON cold starts)
+                  gate the cold-load time)
   urlid serve    --model <model> [--addr <host:port>] [--reactors <n>]
                  [--max-inflight <n>] [--cache-capacity <n>]
                  [--telemetry on|off] [--slow-ms <n>]
@@ -177,7 +173,6 @@ const COMMANDS: &[(&str, &[&str], Command)] = &[
     ),
     ("identify", &["model"], cmd_identify),
     ("evaluate", &["model", "data"], cmd_evaluate),
-    ("pack", &["model", "out"], cmd_pack),
     ("inspect", &["model"], cmd_inspect),
     ("loadtime", &["model", "repeat"], cmd_loadtime),
     (
@@ -332,16 +327,11 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     } else {
         ModelBundle::train_with(&data, &config, opts).map_err(|e| e.to_string())?
     };
-    let out_path = std::path::Path::new(out);
-    let format = if out_path.extension().is_some_and(|e| e == "urlm") {
-        bundle.pack(out_path).map_err(|e| e.to_string())?;
-        ModelFormat::Binary
-    } else {
-        bundle.save_json(out_path).map_err(|e| e.to_string())?;
-        ModelFormat::Json
-    };
+    let bytes = bundle
+        .pack(out)
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!(
-        "trained {} + {} on {} URLs ({} jobs over {} shards) -> {out} ({format})",
+        "trained {} + {} on {} URLs ({} jobs over {} shards) -> {out} ({bytes} bytes)",
         config.feature_set,
         config.algorithm,
         data.len(),
@@ -351,9 +341,9 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Load `--model` into a ready identifier, reporting the detected
-/// format and the load wall-clock.
-fn load_model(args: &Args) -> Result<(LanguageIdentifier, ModelFormat, f64), String> {
+/// Load `--model` into a ready identifier, reporting the load
+/// wall-clock.
+fn load_model(args: &Args) -> Result<(LanguageIdentifier, f64), String> {
     let path = args.require("model")?;
     let source = ModelSource::detect(path).map_err(|e| format!("cannot load {path}: {e}"))?;
     let started = std::time::Instant::now();
@@ -361,11 +351,11 @@ fn load_model(args: &Args) -> Result<(LanguageIdentifier, ModelFormat, f64), Str
         .load_identifier()
         .map_err(|e| format!("cannot load {path}: {e}"))?;
     let load_ms = started.elapsed().as_secs_f64() * 1e3;
-    Ok((identifier, source.format(), load_ms))
+    Ok((identifier, load_ms))
 }
 
 fn cmd_identify(args: &Args) -> Result<(), String> {
-    let (identifier, _, _) = load_model(args)?;
+    let (identifier, _) = load_model(args)?;
     let classify = |url: &str| {
         let lang = identifier
             .identify(url)
@@ -390,7 +380,7 @@ fn cmd_identify(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_evaluate(args: &Args) -> Result<(), String> {
-    let (identifier, _, _) = load_model(args)?;
+    let (identifier, _) = load_model(args)?;
     let test = load_dataset(args.require("data")?)?;
     let result = identifier.evaluate(&test);
     print!(
@@ -398,25 +388,6 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
         urlid::eval::report::metrics_table(&format!("evaluation on {}", test.name), &result)
     );
     println!("\nconfusion matrix:\n{}", result.confusion.render());
-    Ok(())
-}
-
-fn cmd_pack(args: &Args) -> Result<(), String> {
-    let model = args.require("model")?;
-    let out = args.require("out")?;
-    let bundle = ModelBundle::load_json(model).map_err(|e| format!("cannot load {model}: {e}"))?;
-    let started = std::time::Instant::now();
-    let report = bundle
-        .pack(out)
-        .map_err(|e| format!("cannot pack {out}: {e}"))?;
-    eprintln!(
-        "packed {model} -> {out}: {} bytes, {} vocabulary entries, dim {}, stride {} ({:.1} ms)",
-        report.bytes,
-        report.vocab_len,
-        report.dim,
-        report.stride,
-        started.elapsed().as_secs_f64() * 1e3,
-    );
     Ok(())
 }
 
@@ -440,19 +411,14 @@ fn cmd_loadtime(args: &Args) -> Result<(), String> {
         return Err("--repeat must be at least 1".to_owned());
     }
     let mut best_ms = f64::INFINITY;
-    let mut format = ModelFormat::Json;
     for _ in 0..repeat {
-        let (identifier, fmt, ms) = load_model(args)?;
+        let (identifier, ms) = load_model(args)?;
         // Keep the load honest: touch the model so the whole build
         // cannot be optimised out.
         let _ = identifier.config().algorithm;
-        format = fmt;
         best_ms = best_ms.min(ms);
     }
-    eprintln!(
-        "{}: best of {repeat} cold loads as {format}",
-        args.require("model")?,
-    );
+    eprintln!("{}: best of {repeat} cold loads", args.require("model")?);
     // Stdout carries only the number, so scripts can capture it.
     println!("{best_ms:.3}");
     Ok(())
@@ -460,7 +426,7 @@ fn cmd_loadtime(args: &Args) -> Result<(), String> {
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let model_path = std::path::PathBuf::from(args.require("model")?);
-    let (identifier, model_format, load_ms) = load_model(args)?;
+    let (identifier, load_ms) = load_model(args)?;
     let mut config = ServeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_owned(),
         ..ServeConfig::default()
@@ -502,10 +468,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         cache_capacity,
         config.reactors,
     ));
-    state.set_load_info(model_format, load_ms);
+    state.set_load_ms(load_ms);
     let handle = spawn(&config, state).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
     eprintln!(
-        "serving {} on http://{} ({model_format} model, loaded in {load_ms:.1} ms; {} reactors on {} I/O; cache capacity {cache_capacity}; POST /admin/reload to hot-swap)",
+        "serving {} on http://{} (model loaded in {load_ms:.1} ms; {} reactors on {} I/O; cache capacity {cache_capacity}; POST /admin/reload to hot-swap)",
         model_path.display(),
         handle.addr(),
         config.reactors,
@@ -554,8 +520,8 @@ mod tests {
 
     #[test]
     fn parses_flags_and_positionals() {
-        let a = args_of(&["--model", "m.json", "http://a.de/", "http://b.fr/"]);
-        assert_eq!(a.get("model"), Some("m.json"));
+        let a = args_of(&["--model", "m.urlm", "http://a.de/", "http://b.fr/"]);
+        assert_eq!(a.get("model"), Some("m.urlm"));
         assert_eq!(a.positional.len(), 2);
         assert!(a.require("model").is_ok());
         assert!(a.require("data").is_err());
@@ -651,10 +617,25 @@ mod tests {
     #[test]
     fn usage_mentions_every_subcommand() {
         for cmd in [
-            "generate", "train", "identify", "evaluate", "pack", "inspect", "loadtime", "serve",
+            "generate", "train", "identify", "evaluate", "inspect", "loadtime", "serve",
         ] {
             assert!(USAGE.contains(cmd), "{cmd} missing from usage");
         }
+        assert_eq!(COMMANDS.len(), 7);
+        assert!(COMMANDS.iter().all(|(name, ..)| *name != "pack"));
+        assert!(!USAGE.contains("urlid pack"));
+    }
+
+    #[test]
+    fn a_json_model_is_refused_with_bad_magic() {
+        let path =
+            std::env::temp_dir().join(format!("urlid-json-model-{}.json", std::process::id()));
+        std::fs::write(&path, "{\"config\": {\"algorithm\": \"NaiveBayes\"}}").unwrap();
+        let Err(err) = load_model(&args_of(&["--model", path.to_str().unwrap()])) else {
+            panic!("a JSON model loaded");
+        };
+        assert!(err.ends_with("not a .urlm model file (bad magic)"), "{err}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -64,7 +64,7 @@
 //! | `/healthz`            | GET    | —                           | status, model config, uptime                 |
 //! | `/metrics`            | GET    | —                           | counters, cache, latency + per-stage histograms; JSON by default, Prometheus text 0.0.4 on `Accept: text/plain` |
 //! | `/admin/trace`        | GET    | —                           | last buffered stage spans with request ids   |
-//! | `/admin/reload`       | POST   | `{"path": "..."}` (opt.)    | swaps the model, bumps the cache epoch; reports `format`, `load_ms` |
+//! | `/admin/reload`       | POST   | `{"path": "..."}` (opt.)    | loads a `.urlm` file, swaps the model, bumps the cache epoch; reports `load_ms` |
 //!
 //! ## Quickstart
 //!
@@ -72,8 +72,8 @@
 //! use urlid_serve::server::{spawn, ServeConfig, ServerState};
 //! use std::sync::Arc;
 //!
-//! // `ModelSource` sniffs the format: JSON interchange or the
-//! // zero-copy `.urlm` binary (which mmap-loads in milliseconds).
+//! // `ModelSource` checks the `.urlm` magic; the load maps the file
+//! // and serves straight out of its sections.
 //! let source = urlid::ModelSource::detect("model.urlm").unwrap();
 //! let identifier = source.load_identifier().unwrap();
 //! let state = Arc::new(ServerState::new(

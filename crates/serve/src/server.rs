@@ -28,11 +28,12 @@
 //! The model lives in a private `ModelSlot` behind an `RwLock`: request
 //! handlers take a read lock just long enough to clone the
 //! `Arc<LanguageIdentifier>` and the epoch, then score without any lock
-//! held. `POST /admin/reload` loads the new model — JSON or the
-//! zero-copy `.urlm` binary format, sniffed by magic — *before* taking the
-//! write lock, so the lock is held only for the pointer swap — in-flight
-//! requests finish on the model they started with and no request is ever
-//! dropped. The epoch bump atomically invalidates the result cache (see
+//! held. `POST /admin/reload` loads the new `.urlm` model *before*
+//! taking the write lock, so the lock is held only for the pointer swap —
+//! in-flight requests finish on the model they started with and no
+//! request is ever dropped. A file that fails to load (a missing path, a
+//! bad checksum, a file without the `.urlm` magic) leaves the old model
+//! serving. The epoch bump atomically invalidates the result cache (see
 //! [`crate::cache`]).
 
 use crate::cache::{normalize_url, CachedScores, ResultCache};
@@ -48,7 +49,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use urlid::{LanguageIdentifier, ModelFormat, ModelSource};
+use urlid::{LanguageIdentifier, ModelSource};
 use urlid_classifiers::LanguageClassifierSet;
 use urlid_features::ExtractScratch;
 use urlid_lexicon::ALL_LANGUAGES;
@@ -158,14 +159,11 @@ impl RequestTrace {
 }
 
 /// The hot-swappable model: identifier + epoch + provenance (the path
-/// it came from, the persistence format it was decoded from, and how
-/// long the load took).
+/// it came from and how long the load took).
 struct ModelSlot {
     identifier: Arc<LanguageIdentifier>,
     epoch: u64,
     path: Option<PathBuf>,
-    /// `None` for models built in memory (tests, library embedders).
-    format: Option<ModelFormat>,
     /// Wall-clock milliseconds the load of this model took; `None` for
     /// in-memory models that were never loaded from disk.
     load_ms: Option<f64>,
@@ -178,7 +176,6 @@ struct ModelStatus {
     identifier: Arc<LanguageIdentifier>,
     epoch: u64,
     path: Option<PathBuf>,
-    format: Option<ModelFormat>,
     load_ms: Option<f64>,
 }
 
@@ -187,8 +184,6 @@ struct ModelStatus {
 pub struct ReloadReport {
     /// The post-swap cache epoch.
     pub epoch: u64,
-    /// The persistence format the new model was decoded from.
-    pub format: ModelFormat,
     /// Wall-clock milliseconds spent loading (file → ready identifier;
     /// the pointer swap is not included).
     pub load_ms: f64,
@@ -242,7 +237,6 @@ impl ServerState {
                 identifier: Arc::new(identifier),
                 epoch: 0,
                 path: model_path,
-                format: None,
                 load_ms: None,
             }),
             cache: ResultCache::with_sets(cache_capacity, ResultCache::DEFAULT_SHARDS, cache_sets),
@@ -257,7 +251,7 @@ impl ServerState {
     }
 
     /// Model, epoch *and* provenance under a single lock hold, so a
-    /// concurrent reload can never produce a torn epoch/path/format
+    /// concurrent reload can never produce a torn epoch/path/load-time
     /// pairing in `/healthz`, `/metrics` or reload responses.
     fn model_snapshot(&self) -> ModelStatus {
         let slot = self.read_slot();
@@ -265,23 +259,19 @@ impl ServerState {
             identifier: Arc::clone(&slot.identifier),
             epoch: slot.epoch,
             path: slot.path.clone(),
-            format: slot.format,
             load_ms: slot.load_ms,
         }
     }
 
-    /// Record how the initially installed model was loaded (format and
-    /// load latency), so `/healthz` and `/metrics` report provenance
-    /// from the first request on. The CLI calls this right after
-    /// constructing the state; states built from in-memory models skip
-    /// it and report `null`.
-    pub fn set_load_info(&self, format: ModelFormat, load_ms: f64) {
-        let mut slot = self
-            .slot
+    /// Record how long the initially installed model took to load, so
+    /// `/healthz` and `/metrics` report it from the first request on.
+    /// The CLI calls this right after constructing the state; states
+    /// built from in-memory models skip it and report `null`.
+    pub fn set_load_ms(&self, load_ms: f64) {
+        self.slot
             .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        slot.format = Some(format);
-        slot.load_ms = Some(load_ms);
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .load_ms = Some(load_ms);
     }
 
     /// The result cache (exposed for metrics and tests).
@@ -294,11 +284,11 @@ impl ServerState {
         &self.metrics
     }
 
-    /// Swap in a model loaded from `path` (or from the slot's stored
-    /// path when `None`); the `.urlm` magic decides the persistence
-    /// format. The identifier is built *outside* the write lock, so the
-    /// lock is held only for the pointer swap. The old model keeps
-    /// serving until the swap; on any error it keeps serving, period.
+    /// Swap in the `.urlm` model at `path` (or at the slot's stored
+    /// path when `None`). The identifier is built *outside* the write
+    /// lock, so the lock is held only for the pointer swap. The old
+    /// model keeps serving until the swap; on any error it keeps
+    /// serving, period.
     pub fn reload(&self, path: Option<PathBuf>) -> Result<ReloadReport, String> {
         let path = match path.or_else(|| self.read_slot().path.clone()) {
             Some(p) => p,
@@ -316,7 +306,6 @@ impl ServerState {
             .load_identifier()
             .map_err(|e| format!("cannot reload {}: {e}", path.display()))?;
         let load_ms = started.elapsed().as_secs_f64() * 1e3;
-        let format = source.format();
         let identifier = Arc::new(identifier);
         let epoch = {
             let mut slot = self
@@ -326,7 +315,6 @@ impl ServerState {
             slot.identifier = identifier;
             slot.epoch += 1;
             slot.path = Some(path);
-            slot.format = Some(format);
             slot.load_ms = Some(load_ms);
             slot.epoch
         };
@@ -334,11 +322,7 @@ impl ServerState {
         // releases their memory promptly.
         self.cache.clear();
         self.metrics.reloads.fetch_add(1, Ordering::Relaxed);
-        Ok(ReloadReport {
-            epoch,
-            format,
-            load_ms,
-        })
+        Ok(ReloadReport { epoch, load_ms })
     }
 
     /// Score one normalised URL, through the cache. Cache misses score
@@ -508,17 +492,9 @@ fn model_value(status: &ModelStatus) -> Value {
         Value::Str(config.feature_set.short_label().to_owned()),
     );
     o.insert("epoch", Value::Uint(status.epoch));
-    // Persistence provenance: which on-disk format the model was
-    // decoded from ("json" | "binary"), how long that load took, and
-    // whether the compiled plane still serves straight out of the
-    // mapped file. All `null`/`false` for in-memory models.
-    o.insert(
-        "format",
-        match status.format {
-            Some(f) => Value::Str(f.as_str().to_owned()),
-            None => Value::Null,
-        },
-    );
+    // Load provenance: how long the load took and whether the compiled
+    // plane still serves straight out of the mapped file. `null`/`false`
+    // for in-memory models.
     o.insert(
         "load_ms",
         match status.load_ms {
@@ -849,10 +825,6 @@ pub fn prometheus_text(state: &ServerState) -> String {
         &[
             ("algorithm", config.algorithm.abbrev()),
             ("features", config.feature_set.short_label()),
-            (
-                "format",
-                status.format.map(|f| f.as_str()).unwrap_or("none"),
-            ),
             ("epoch", epoch_str.as_str()),
             ("path", path_str.as_str()),
         ],
@@ -919,8 +891,8 @@ fn handle_trace(state: &ServerState) -> (u16, String) {
 
 fn handle_reload(state: &ServerState, req: &Request) -> (u16, String) {
     // Body grammar: `{}` / empty reloads the stored path;
-    // `{"path": "..."}` names a file. The file's magic bytes decide its
-    // format. Empty bodies stay accepted for backward compatibility.
+    // `{"path": "..."}` names a `.urlm` file. Empty bodies stay accepted
+    // for backward compatibility.
     let path = if req.body.trim().is_empty() {
         None
     } else {
@@ -938,7 +910,6 @@ fn handle_reload(state: &ServerState, req: &Request) -> (u16, String) {
             let status = state.model_snapshot();
             let mut o = Value::object();
             o.insert("reloaded", Value::Bool(true));
-            o.insert("format", Value::Str(report.format.as_str().to_owned()));
             o.insert("load_ms", Value::Float(report.load_ms));
             o.insert("model", model_value(&status));
             (200, serde_json::to_string(&o).expect("response serialises"))

@@ -133,9 +133,15 @@ fn train_and_save(algorithm: Algorithm, dir: &std::path::Path) -> std::path::Pat
     let train = odp_dataset(&mut generator, CorpusScale::tiny()).train;
     let config = TrainingConfig::new(FeatureSetKind::Words, algorithm).with_maxent_iterations(8);
     let bundle = ModelBundle::train(&train, &config).expect("trainable config");
-    let path = dir.join(format!("{algorithm:?}.json"));
-    bundle.save_json(&path).expect("save bundle");
+    let path = dir.join(format!("{algorithm:?}.urlm"));
+    bundle.pack(&path).expect("pack bundle");
     path
+}
+
+fn load(path: &std::path::Path) -> LanguageIdentifier {
+    ModelSource::detect(path)
+        .and_then(|source| source.load_identifier())
+        .expect("load model")
 }
 
 #[test]
@@ -145,9 +151,8 @@ fn reload_swaps_models_without_failing_in_flight_requests() {
     let nb_path = train_and_save(Algorithm::NaiveBayes, &dir);
     let re_path = train_and_save(Algorithm::RelativeEntropy, &dir);
 
-    let bundle = ModelBundle::load_json(&nb_path).unwrap();
     let state = Arc::new(ServerState::new(
-        bundle.into_identifier(),
+        load(&nb_path),
         Some(nb_path.clone()),
         4096,
     ));
@@ -214,9 +219,8 @@ fn reload_invalidates_cached_results_via_epoch() {
     let nb_path = train_and_save(Algorithm::NaiveBayes, &dir);
     let re_path = train_and_save(Algorithm::RelativeEntropy, &dir);
 
-    let bundle = ModelBundle::load_json(&nb_path).unwrap();
     let state = Arc::new(ServerState::new(
-        bundle.into_identifier(),
+        load(&nb_path),
         Some(nb_path.clone()),
         1024,
     ));
@@ -245,17 +249,14 @@ fn reload_invalidates_cached_results_via_epoch() {
 }
 
 #[test]
-fn binary_reload_reports_format_and_survives_corruption() {
+fn reload_reports_load_time_and_survives_corruption() {
     let dir = std::env::temp_dir().join("urlid-serve-binary-reload-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let nb_json = train_and_save(Algorithm::NaiveBayes, &dir);
-    let nb_urlm = dir.join("NaiveBayes.urlm");
-    let bundle = ModelBundle::load_json(&nb_json).unwrap();
-    bundle.pack(&nb_urlm).expect("pack binary model");
+    let nb_urlm = train_and_save(Algorithm::NaiveBayes, &dir);
 
     let state = Arc::new(ServerState::new(
-        bundle.into_identifier(),
-        Some(nb_json.clone()),
+        load(&nb_urlm),
+        Some(nb_urlm.clone()),
         1024,
     ));
     let server = spawn(&ServeConfig::default(), state).expect("bind");
@@ -263,30 +264,30 @@ fn binary_reload_reports_format_and_survives_corruption() {
     let body = "{\"url\": \"http://www.wetterbericht.de/heute\"}";
     let (_, before) = request(addr, "POST", "/identify", Some(body));
 
-    // Empty body stays accepted: reloads the stored (JSON) path.
-    let (status, response) = request(addr, "POST", "/admin/reload", None);
+    // Empty body stays accepted: reloads the stored path.
+    let (status, _) = request(addr, "POST", "/admin/reload", None);
     assert_eq!(status, 200, "empty-body reload");
-    assert_eq!(response.get("format"), Some(&Value::Str("json".into())));
 
-    // Binary reload: format is sniffed from the magic, the response
-    // reports format/load_ms, and the plane serves mapped.
+    // Reload by explicit path: the response reports load_ms, and the
+    // plane serves mapped.
     let reload_body = format!("{{\"path\": \"{}\"}}", nb_urlm.display());
     let (status, response) = request(addr, "POST", "/admin/reload", Some(&reload_body));
-    assert_eq!(status, 200, "binary reload");
-    assert_eq!(response.get("format"), Some(&Value::Str("binary".into())));
-    assert!(
-        response.get("weights").is_none(),
-        "one weight lane, nothing to report"
-    );
+    assert_eq!(status, 200, "path reload");
+    for retired in ["format", "weights"] {
+        assert!(
+            response.get(retired).is_none(),
+            "one model format and one weight lane, no {retired} to report"
+        );
+    }
     assert!(
         matches!(response.get("load_ms"), Some(Value::Float(ms)) if *ms >= 0.0),
         "load_ms missing: {response:?}"
     );
     let model = response.get("model").expect("model");
-    assert_eq!(model.get("format"), Some(&Value::Str("binary".into())));
+    assert!(model.get("format").is_none(), "{model:?}");
     assert_eq!(model.get("mapped"), Some(&Value::Bool(true)));
 
-    // Same model bytes, same scores — bit-identical across formats.
+    // Same model bytes, same scores.
     let (_, after) = request(addr, "POST", "/identify", Some(body));
     assert_eq!(after.get("scores"), before.get("scores"));
 
@@ -305,7 +306,6 @@ fn binary_reload_reports_format_and_survives_corruption() {
     let (_, health) = request(addr, "GET", "/healthz", None);
     let model = health.get("model").expect("model");
     assert_eq!(uint_of(model, "epoch"), 2, "failed reloads bump nothing");
-    assert_eq!(model.get("format"), Some(&Value::Str("binary".into())));
     server.shutdown();
 }
 
@@ -314,34 +314,38 @@ fn reload_failure_keeps_the_old_model_serving() {
     let dir = std::env::temp_dir().join("urlid-serve-badreload-test");
     std::fs::create_dir_all(&dir).unwrap();
     let nb_path = train_and_save(Algorithm::NaiveBayes, &dir);
-    let bundle = ModelBundle::load_json(&nb_path).unwrap();
-    let state = Arc::new(ServerState::new(
-        bundle.into_identifier(),
-        Some(nb_path),
-        1024,
-    ));
+    // A leftover JSON model (or any non-`.urlm` file) is refused by its
+    // missing magic.
+    let json_path = dir.join("leftover-model.json");
+    std::fs::write(&json_path, "{\"config\": {\"algorithm\": \"NaiveBayes\"}}").unwrap();
+    let state = Arc::new(ServerState::new(load(&nb_path), Some(nb_path), 1024));
     let server = spawn(&ServeConfig::default(), state).expect("bind");
     let addr = server.addr();
 
-    let (status, response) = request(
-        addr,
-        "POST",
-        "/admin/reload",
-        Some("{\"path\": \"/nonexistent/model.json\"}"),
-    );
-    assert_eq!(status, 500);
-    assert!(matches!(response.get("error"), Some(Value::Str(_))));
+    for (path, cause) in [
+        (std::path::Path::new("/nonexistent/model.urlm"), "i/o error"),
+        (json_path.as_path(), "bad magic"),
+    ] {
+        let body = format!("{{\"path\": \"{}\"}}", path.display());
+        let (status, response) = request(addr, "POST", "/admin/reload", Some(&body));
+        assert_eq!(status, 500, "{}", path.display());
+        assert!(
+            matches!(response.get("error"), Some(Value::Str(e)) if e.contains(cause)),
+            "{}: {response:?}",
+            path.display()
+        );
 
-    // Still serving, still on epoch 0.
-    let (status, _) = request(
-        addr,
-        "POST",
-        "/identify",
-        Some("{\"url\": \"http://www.beispiel.de/\"}"),
-    );
-    assert_eq!(status, 200);
-    let (_, health) = request(addr, "GET", "/healthz", None);
-    let model = health.get("model").expect("model");
-    assert_eq!(uint_of(model, "epoch"), 0);
+        // Still serving, still on epoch 0.
+        let (status, _) = request(
+            addr,
+            "POST",
+            "/identify",
+            Some("{\"url\": \"http://www.beispiel.de/\"}"),
+        );
+        assert_eq!(status, 200);
+        let (_, health) = request(addr, "GET", "/healthz", None);
+        let model = health.get("model").expect("model");
+        assert_eq!(uint_of(model, "epoch"), 0);
+    }
     server.shutdown();
 }

@@ -653,9 +653,15 @@ fn train_and_save(algorithm: Algorithm, dir: &std::path::Path) -> std::path::Pat
     let train = odp_dataset(&mut generator, CorpusScale::tiny()).train;
     let config = TrainingConfig::new(FeatureSetKind::Words, algorithm).with_maxent_iterations(8);
     let bundle = ModelBundle::train(&train, &config).expect("trainable config");
-    let path = dir.join(format!("reactor-{algorithm:?}.json"));
-    bundle.save_json(&path).expect("save bundle");
+    let path = dir.join(format!("reactor-{algorithm:?}.urlm"));
+    bundle.pack(&path).expect("pack bundle");
     path
+}
+
+fn load(path: &std::path::Path) -> LanguageIdentifier {
+    ModelSource::detect(path)
+        .and_then(|source| source.load_identifier())
+        .expect("load model")
 }
 
 /// `/admin/reload` under concurrent hammering across two reactors with
@@ -671,9 +677,8 @@ fn reload_invalidates_every_cache_shard_set_across_reactors() {
     let nb_path = train_and_save(Algorithm::NaiveBayes, &dir);
     let re_path = train_and_save(Algorithm::RelativeEntropy, &dir);
 
-    let bundle = ModelBundle::load_json(&nb_path).unwrap();
     let state = Arc::new(ServerState::with_topology(
-        bundle.into_identifier(),
+        load(&nb_path),
         Some(nb_path.clone()),
         4096,
         2,
@@ -723,11 +728,7 @@ fn reload_invalidates_every_cache_shard_set_across_reactors() {
     });
 
     // Reference: a fresh server holding only the final (RE) model.
-    let reference_state = Arc::new(ServerState::new(
-        ModelBundle::load_json(&re_path).unwrap().into_identifier(),
-        None,
-        4096,
-    ));
+    let reference_state = Arc::new(ServerState::new(load(&re_path), None, 4096));
     let reference = spawn(&ServeConfig::default(), reference_state).expect("bind reference");
     for i in 0..UNIQUE_URLS {
         let body = format!("{{\"url\": \"http://www.seite{i}.de/wetter\"}}");

@@ -1,18 +1,18 @@
-//! Differential tests: the zero-copy `.urlm` binary format against the
-//! JSON interchange oracle.
+//! Differential tests: a `.urlm` load against the in-memory model it
+//! was packed from — the persistence contract of `urlid train --out`,
+//! server start-up and `POST /admin/reload`.
 //!
-//! JSON is the interchange/oracle representation; `.urlm` is the
-//! serving format whose on-disk sections *are* the compiled plane's
-//! runtime structures (mmap + validate + cast, no deserialisation).
-//! A packed model must therefore be **indistinguishable** from the
-//! JSON-loaded one — bit-identical scores, not merely close — for all
-//! fifteen algorithm × feature recipes, on both scoring lanes:
+//! `.urlm` is the one model file; its on-disk sections *are* the
+//! compiled plane's runtime structures (mmap + validate + cast). A
+//! loaded model must therefore be **indistinguishable** from the
+//! trained one — bit-identical scores and decisions, not merely close —
+//! for all fifteen algorithm × feature recipes, on both scoring lanes:
 //!
 //! * the compiled plane (the mapped matrix is the same bytes the
 //!   compiler produced);
 //! * the interpreted oracle (the `MODELS` section round-trips the
 //!   training-time models, so `score_all_interpreted` works on
-//!   binary-loaded sets too).
+//!   loaded sets too).
 //!
 //! Files packed before the quantised `f32` lane was removed carry one
 //! more section (id 7, `MATRIX32`). They must keep loading, and score
@@ -21,7 +21,7 @@
 use urlid::prelude::*;
 
 /// Generated URLs of every language plus odd hosts that must not panic
-/// or diverge between formats.
+/// or diverge between the trained and the loaded model.
 fn url_sample() -> Vec<String> {
     let mut generator = UrlGenerator::new(7001);
     let profile = urlid::corpus::DatasetProfile::web_crawl();
@@ -67,22 +67,19 @@ fn every_recipe_packs_and_serves_bit_identically_on_both_lanes() {
             let config = TrainingConfig::new(feature_set, algorithm).with_maxent_iterations(6);
             let bundle =
                 ModelBundle::train(&training, &config).unwrap_or_else(|e| panic!("{tag}: {e}"));
-            let json_path = dir.join(format!("{feature_set:?}-{algorithm:?}.json"));
             let urlm_path = dir.join(format!("{feature_set:?}-{algorithm:?}.urlm"));
-            bundle.save_json(&json_path).unwrap();
-            let report = bundle
+            let bytes = bundle
                 .pack(&urlm_path)
                 .unwrap_or_else(|e| panic!("{tag} pack: {e}"));
-            assert!(report.bytes > 0, "{tag}: empty pack");
+            assert!(bytes > 0, "{tag}: empty pack");
 
-            let from_json = ModelSource::json(&json_path)
-                .load_identifier()
-                .unwrap_or_else(|e| panic!("{tag} json load: {e}"));
-            let source = ModelSource::detect(&urlm_path).unwrap();
-            assert_eq!(source.format(), ModelFormat::Binary, "{tag}: magic sniff");
+            let in_memory = bundle.into_identifier();
+            let source = ModelSource::detect(&urlm_path)
+                .unwrap_or_else(|e| panic!("{tag} magic sniff: {e}"));
             let from_urlm = source
                 .load_identifier()
                 .unwrap_or_else(|e| panic!("{tag} binary load: {e}"));
+            assert_eq!(*from_urlm.config(), config, "{tag}: config");
             assert!(
                 from_urlm
                     .classifier_set()
@@ -93,24 +90,24 @@ fn every_recipe_packs_and_serves_bit_identically_on_both_lanes() {
             // Every feature family, custom included, extracts through
             // the compiled transform after either load (scores cannot
             // show a silent fallback to the interpreted extractor).
-            for (format, loaded) in [("json", &from_json), ("urlm", &from_urlm)] {
+            for (side, loaded) in [("in-memory", &in_memory), ("urlm", &from_urlm)] {
                 assert!(
                     loaded
                         .classifier_set()
                         .plane()
                         .and_then(|p| p.transform())
                         .is_some(),
-                    "{tag}: {format} load must extract through the compiled transform"
+                    "{tag}: {side} model must extract through the compiled transform"
                 );
             }
 
             // Exact f64 lane: bit-for-bit equality, decisions included.
             for url in &sample {
-                let expected = from_json.classifier_set().score_all(url);
+                let expected = in_memory.classifier_set().score_all(url);
                 let actual = from_urlm.classifier_set().score_all(url);
                 assert_eq!(expected, actual, "{tag}: f64 scores diverge on {url}");
                 assert_eq!(
-                    from_json.identify(url),
+                    in_memory.identify(url),
                     from_urlm.identify(url),
                     "{tag}: decisions diverge on {url}"
                 );
@@ -120,7 +117,7 @@ fn every_recipe_packs_and_serves_bit_identically_on_both_lanes() {
             // training-time models themselves.
             for url in sample.iter().take(5) {
                 assert_eq!(
-                    from_json.classifier_set().score_all_interpreted(url),
+                    in_memory.classifier_set().score_all_interpreted(url),
                     from_urlm.classifier_set().score_all_interpreted(url),
                     "{tag}: interpreted scores diverge on {url}"
                 );
@@ -208,7 +205,6 @@ fn a_file_carrying_the_retired_matrix32_section_loads_and_scores_identically() {
             .load_identifier()
             .unwrap();
         let source = ModelSource::detect(&old_path).unwrap();
-        assert_eq!(source.format(), ModelFormat::Binary, "{tag}");
         let from_old = source
             .load_identifier()
             .unwrap_or_else(|e| panic!("{tag}: old file must load: {e}"));
@@ -240,7 +236,7 @@ fn a_file_carrying_the_retired_matrix32_section_loads_and_scores_identically() {
         std::fs::write(&old_path, &corrupt).unwrap();
         assert!(
             matches!(
-                ModelSource::binary(&old_path).load_identifier(),
+                ModelSource::detect(&old_path).and_then(|s| s.load_identifier()),
                 Err(PersistenceError::ChecksumMismatch(_))
             ),
             "{tag}: a corrupt retired section must be rejected"

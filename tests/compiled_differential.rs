@@ -178,21 +178,26 @@ fn compiled_batch_identification_matches_interpreted_sequential() {
 
 #[test]
 fn persistence_round_trips_through_the_compile_step() {
-    // Save → load → compile must be indistinguishable from the
-    // in-memory compiled model (the `/admin/reload` path), for every
-    // recipe.
+    // Pack → load must be indistinguishable from the in-memory compiled
+    // model (the `/admin/reload` path), for every recipe.
     let mut generator = UrlGenerator::new(77);
     let training = odp_dataset(&mut generator, CorpusScale::tiny()).train;
     let sample = fixed_sample();
+    let path = std::env::temp_dir().join(format!(
+        "urlid-compiled-differential-{}.urlm",
+        std::process::id()
+    ));
     for config in recipes() {
         let bundle = ModelBundle::train(&training, &config)
             .unwrap_or_else(|e| panic!("{:?}/{:?}: {e}", config.feature_set, config.algorithm));
-        let json = bundle.to_json().unwrap();
-        let reloaded = ModelBundle::from_json(&json).unwrap().into_identifier();
+        bundle.pack(&path).unwrap();
+        let reloaded = ModelSource::detect(&path)
+            .and_then(|source| source.load_identifier())
+            .unwrap();
         let original = bundle.into_identifier();
         assert!(original.classifier_set().is_compiled());
         assert!(reloaded.classifier_set().is_compiled());
-        assert_extracts_compiled(reloaded.classifier_set(), &config, "after a JSON load");
+        assert_extracts_compiled(reloaded.classifier_set(), &config, "after a .urlm load");
         for url in &sample {
             assert_eq!(
                 original.classifier_set().score_all(url),
@@ -217,6 +222,7 @@ fn persistence_round_trips_through_the_compile_step() {
             );
         }
     }
+    std::fs::remove_file(&path).ok();
 }
 
 /// URL-ish inputs: hosts, IPs, punycode, paths, queries — plus pure

@@ -1,7 +1,8 @@
 //! "Shape" tests: the qualitative findings of the paper must hold on the
-//! synthetic corpus. These are the properties DESIGN.md promises the
-//! substitution preserves — who wins, in which regime, and where the
-//! confusions are — not the paper's absolute numbers.
+//! synthetic corpus. These are the properties the corpus substitution
+//! is built to preserve (see the `urlid-corpus` crate docs) — who wins,
+//! in which regime, and where the confusions are — not the paper's
+//! absolute numbers.
 
 use urlid::eval::{domain_memorization_curve, evaluate_classifier_set};
 use urlid::prelude::*;

@@ -1,9 +1,9 @@
 //! Full-set persistence round-trip — the server's hot-reload path.
 //!
 //! `POST /admin/reload` rebuilds a `LanguageClassifierSet` from a saved
-//! `ModelBundle` while traffic is flowing, so a reloaded model must be
-//! *indistinguishable* from the one that was saved: identical scores and
-//! identical decisions on every URL, for every persistable training
+//! `.urlm` model file while traffic is flowing, so a reloaded model must
+//! be *indistinguishable* from the one that was saved: identical scores
+//! and identical decisions on every URL, for every persistable training
 //! configuration (all five algorithms × all three feature sets).
 
 use urlid::prelude::*;
@@ -30,12 +30,23 @@ fn url_sample() -> Vec<String> {
     urls
 }
 
+/// Save `bundle` to `path` and load it back the way the server does.
+fn save_and_reload(bundle: &ModelBundle, path: &std::path::Path) -> LanguageIdentifier {
+    bundle.pack(path).unwrap();
+    ModelSource::detect(path)
+        .and_then(|source| source.load_identifier())
+        .unwrap()
+}
+
 #[test]
 fn every_persistable_recipe_survives_save_and_reload_bit_identically() {
     let mut generator = UrlGenerator::new(91);
     let training = odp_dataset(&mut generator, CorpusScale::tiny()).train;
     let sample = url_sample();
-    let dir = std::env::temp_dir().join("urlid-persistence-roundtrip");
+    let dir = std::env::temp_dir().join(format!(
+        "urlid-persistence-roundtrip-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
 
     let algorithms = [
@@ -54,15 +65,12 @@ fn every_persistable_recipe_survives_save_and_reload_bit_identically() {
             let config = TrainingConfig::new(feature_set, algorithm).with_maxent_iterations(8);
             let bundle = ModelBundle::train(&training, &config)
                 .unwrap_or_else(|e| panic!("{feature_set:?}/{algorithm:?}: {e}"));
-            let path = dir.join(format!("{feature_set:?}-{algorithm:?}.json"));
-            bundle.save_json(&path).unwrap();
-            let reloaded = ModelBundle::load_json(&path)
-                .unwrap_or_else(|e| panic!("{feature_set:?}/{algorithm:?} reload: {e}"));
-            assert_eq!(reloaded.config().algorithm, algorithm);
-            assert_eq!(reloaded.config().feature_set, feature_set);
+            let path = dir.join(format!("{feature_set:?}-{algorithm:?}.urlm"));
+            let restored = save_and_reload(&bundle, &path);
+            assert_eq!(restored.config().algorithm, algorithm);
+            assert_eq!(restored.config().feature_set, feature_set);
 
             let original = bundle.into_identifier();
-            let restored = reloaded.into_identifier();
             for url in &sample {
                 let expected = original.classifier_set().score_all(url);
                 let actual = restored.classifier_set().score_all(url);
@@ -81,9 +89,9 @@ fn every_persistable_recipe_survives_save_and_reload_bit_identically() {
                     "{feature_set:?}/{algorithm:?} best language diverges after reload on {url}"
                 );
             }
-            std::fs::remove_file(&path).ok();
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -94,8 +102,8 @@ fn reloaded_batch_path_agrees_with_saved_sequential_path() {
     let mut generator = UrlGenerator::new(92);
     let training = odp_dataset(&mut generator, CorpusScale::tiny()).train;
     let bundle = ModelBundle::train(&training, &TrainingConfig::paper_best()).unwrap();
-    let json = bundle.to_json().unwrap();
-    let restored = ModelBundle::from_json(&json).unwrap().into_identifier();
+    let path = std::env::temp_dir().join(format!("urlid-batch-reload-{}.urlm", std::process::id()));
+    let restored = save_and_reload(&bundle, &path);
     let original = bundle.into_identifier();
 
     let sample = url_sample();
@@ -104,4 +112,5 @@ fn reloaded_batch_path_agrees_with_saved_sequential_path() {
     for (i, url) in urls.iter().enumerate() {
         assert_eq!(batch[i], original.classifier_set().score_all(url), "{url}");
     }
+    std::fs::remove_file(&path).ok();
 }

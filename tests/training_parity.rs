@@ -6,15 +6,16 @@
 //! shard order and the negative-sampling RNG schedule is a pure function
 //! of `(seed, language)`. The consequence, proven here for **all fifteen
 //! persistable algorithm × feature recipes**: training with `--jobs 4
-//! --shards 7` persists the *bit-identical* model bundle as training
-//! with a single thread — same JSON bytes, same scores, same decisions
-//! (the same machinery `tests/persistence_roundtrip.rs` uses for the
-//! save/reload contract).
+//! --shards 7` packs the *bit-identical* `.urlm` model as training with
+//! a single thread — same bytes, same scores, same decisions. The byte
+//! comparison covers every trained value: the MODELS codec writes every
+//! field of every model, and the word and trigram extractor configs
+//! are a pure function of the `TrainingConfig` in META.
 
 use urlid::prelude::*;
 
 /// Generated URLs of every language plus odd-host URLs, mirroring the
-/// persistence round-trip probe set.
+/// `binary_differential` probe set.
 fn url_sample() -> Vec<String> {
     let mut generator = UrlGenerator::new(2026);
     let profile = urlid::corpus::DatasetProfile::web_crawl();
@@ -68,8 +69,8 @@ fn every_recipe_trains_bit_identically_at_any_job_count() {
 
             // The strongest possible check first: the persisted bytes.
             assert_eq!(
-                a.to_json().unwrap(),
-                b.to_json().unwrap(),
+                a.to_urlm_bytes().unwrap(),
+                b.to_urlm_bytes().unwrap(),
                 "{feature_set:?}/{algorithm:?}: persisted models diverge between jobs=1 and jobs=4"
             );
 
@@ -136,13 +137,13 @@ fn maxent_interior_sharding_is_bit_identical_at_any_job_count() {
         TrainingConfig::new(FeatureSetKind::Words, Algorithm::MaxEnt).with_maxent_iterations(8);
     let one =
         ModelBundle::train_with(&training, &config, TrainOptions { jobs: 1, shards: 7 }).unwrap();
-    let baseline = one.to_json().unwrap();
+    let baseline = one.to_urlm_bytes().unwrap();
     for jobs in [2, 5, 16] {
         let many =
             ModelBundle::train_with(&training, &config, TrainOptions { jobs, shards: 7 }).unwrap();
         assert_eq!(
             baseline,
-            many.to_json().unwrap(),
+            many.to_urlm_bytes().unwrap(),
             "pipeline MaxEnt diverges at jobs={jobs}"
         );
     }
@@ -170,8 +171,8 @@ fn trained_bytes_are_invariant_under_the_shard_count() {
         )
         .unwrap();
         assert_eq!(
-            one.to_json().unwrap(),
-            many.to_json().unwrap(),
+            one.to_urlm_bytes().unwrap(),
+            many.to_urlm_bytes().unwrap(),
             "{:?}/{:?}: shards=1 and shards=11 diverge",
             config.feature_set,
             config.algorithm
@@ -213,5 +214,5 @@ fn default_shard_schedule_is_jobs_invariant_from_the_cli_entry() {
     let config = TrainingConfig::paper_best();
     let a = ModelBundle::train_with(&training, &config, TrainOptions::with_jobs(1)).unwrap();
     let b = ModelBundle::train_with(&training, &config, TrainOptions::with_jobs(4)).unwrap();
-    assert_eq!(a.to_json().unwrap(), b.to_json().unwrap());
+    assert_eq!(a.to_urlm_bytes().unwrap(), b.to_urlm_bytes().unwrap());
 }

@@ -26,8 +26,8 @@ fn packed_model() -> (PathBuf, LanguageIdentifier) {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("model.urlm");
     bundle.pack(&path).expect("pack");
-    let reference = ModelSource::binary(&path)
-        .load_identifier()
+    let reference = ModelSource::detect(&path)
+        .and_then(|s| s.load_identifier())
         .expect("pristine load");
     (path, reference)
 }
@@ -42,7 +42,9 @@ fn load_mutated(
     mutate(&mut bytes);
     let mutated = path.with_file_name(name);
     std::fs::write(&mutated, &bytes).unwrap();
-    ModelSource::binary(&mutated).load_identifier().map(|_| ())
+    ModelSource::detect(&mutated)
+        .and_then(|s| s.load_identifier())
+        .map(|_| ())
 }
 
 #[test]
@@ -135,7 +137,7 @@ fn heap_fallback_scores_identically_to_the_mapped_path() {
     // `URLID_NO_MMAP=1` forces the aligned-heap fallback the non-unix
     // targets use; it must decode the same file to the same scores.
     std::env::set_var("URLID_NO_MMAP", "1");
-    let heap_loaded = ModelSource::binary(&path).load_identifier();
+    let heap_loaded = ModelSource::detect(&path).and_then(|s| s.load_identifier());
     std::env::remove_var("URLID_NO_MMAP");
     let heap_loaded = heap_loaded.expect("heap-fallback load");
     let mut generator = UrlGenerator::new(5005);
