@@ -26,6 +26,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use urlid::tokenize::UrlParts;
 
 /// The cached value: the five per-language scores of one URL (`None`
 /// where the model set has no classifier for a language). Decisions and
@@ -37,19 +38,29 @@ pub type CachedScores = [Option<f64>; 5];
 /// surrounding whitespace, drop any `#fragment` (fragments never reach
 /// the server in real traffic and carry no language signal), and
 /// lowercase the scheme and host (DNS is case-insensitive; paths are
-/// not).
+/// not). Allocates the result; the server normalises into a reused
+/// buffer with [`normalize_url_into`].
 pub fn normalize_url(raw: &str) -> String {
+    let mut out = String::new();
+    normalize_url_into(raw, &mut out);
+    out
+}
+
+/// [`normalize_url`] into `out` (cleared first): allocation-free once
+/// `out` has grown to the URL's size. The host starts after the
+/// scheme's `://` — by [`UrlParts::scheme_len`]'s rule, so a scheme-less
+/// URL whose query carries another URL keeps its path's case — and ends
+/// at the first `/` or `?`.
+pub fn normalize_url_into(raw: &str, out: &mut String) {
     let trimmed = raw.trim();
     let no_fragment = trimmed.split('#').next().unwrap_or("");
-    let host_start = no_fragment.find("://").map(|i| i + 3).unwrap_or(0);
+    let host_start = UrlParts::scheme_len(no_fragment).map_or(0, |len| len + 3);
     let host_end = no_fragment[host_start..]
         .find(['/', '?'])
-        .map(|i| host_start + i)
-        .unwrap_or(no_fragment.len());
-    let mut out = String::with_capacity(no_fragment.len());
-    out.push_str(&no_fragment[..host_end].to_ascii_lowercase());
-    out.push_str(&no_fragment[host_end..]);
-    out
+        .map_or(no_fragment.len(), |i| host_start + i);
+    out.clear();
+    out.push_str(no_fragment);
+    out[..host_end].make_ascii_lowercase();
 }
 
 const NIL: usize = usize::MAX;
@@ -364,6 +375,20 @@ mod tests {
         );
         assert_eq!(normalize_url("WWW.EXAMPLE.com/X"), "www.example.com/X");
         assert_eq!(normalize_url(""), "");
+        // A `://` inside the query is not a scheme: the host of a
+        // scheme-less URL still ends at its first `/` or `?`.
+        assert_eq!(
+            normalize_url("WWW.Example.com/Pfad?u=http://A.DE/x"),
+            "www.example.com/Pfad?u=http://A.DE/x"
+        );
+        assert_eq!(
+            normalize_url("www.seite.de/Login?next=https://Konto.DE/Profil"),
+            "www.seite.de/Login?next=https://Konto.DE/Profil"
+        );
+        // Normalising into a reused buffer overwrites what it held.
+        let mut out = String::from("http://previous.example/long/path");
+        normalize_url_into(" HTTP://A.DE/X#f", &mut out);
+        assert_eq!(out, "http://a.de/X");
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The per-connection state machine the reactor drives.
 //!
 //! A [`Conn`] owns one non-blocking socket, an incremental
-//! [`RequestParser`], and an outbound queue of response segments
-//! flushed with vectored writes. It never blocks and never touches a
-//! thread of its own — the reactor calls in when epoll reports
-//! readiness, answers each request the parser yields, and hands the
-//! response back through [`Conn::respond`]. The request lifecycle:
+//! [`RequestParser`] (which owns the connection's one [`Request`],
+//! refilled in place), and one reusable output buffer. It never blocks
+//! and never touches a thread of its own — the reactor calls in when
+//! epoll reports readiness, answers each request the parser yields by
+//! encoding the response straight into the output buffer
+//! ([`Conn::exchange`]), and has it written through [`Conn::respond`].
+//! The request lifecycle:
 //!
 //! ```text
 //!          readable                 parser yields a request
@@ -17,106 +19,42 @@
 //! ```
 //!
 //! One request per connection is answered at a time: while a response
-//! is still flushing, arriving bytes are buffered but not parsed,
-//! which both preserves response ordering for pipelined clients and
-//! bounds the per-connection memory (a flood past the cap closes the
-//! connection). Malformed, oversized or chunked input gets a
-//! `400`/`413`/`501` written out and the connection closed — a
-//! misbehaving peer can never panic or wedge anything.
+//! is still flushing, arriving bytes are buffered but not parsed, which
+//! both preserves response ordering for pipelined clients and bounds
+//! the per-connection memory (a flood past the cap closes the
+//! connection). So the output buffer holds at most one response, and
+//! each response goes out in plain `write`s. Malformed, oversized or
+//! chunked input gets a `400`/`413`/`501` written out and the
+//! connection closed — a misbehaving peer can never panic or wedge
+//! anything.
 
 use crate::http::{self, HttpError, ParserLimits, Request, RequestParser};
 use crate::metrics::{ReactorStats, TRACE_STRIPES};
 use crate::server::{error_body, ServerState};
 use crate::sys::{Backend, Interest};
-use std::collections::VecDeque;
-use std::io::{self, IoSlice};
+use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 use urlid_telemetry::Stage;
 
-/// Upper bound on the iovecs of one vectored write (Linux caps a single
-/// `writev` at `IOV_MAX` = 1024; sixteen covers any realistic pipelining
-/// burst while keeping the stack frame small).
-const MAX_WRITE_SEGMENTS: usize = 16;
-
-/// Pending response bytes, kept as a queue of whole-response segments so
-/// pipelined responses flush through one vectored write instead of being
-/// memmoved into a single growing buffer first.
-#[derive(Default)]
-struct OutQueue {
-    segments: VecDeque<Vec<u8>>,
-    /// How much of the front segment has already been written.
-    head_pos: usize,
-    /// Total unwritten bytes across all segments.
-    unwritten: usize,
-}
-
-impl OutQueue {
-    fn is_empty(&self) -> bool {
-        self.unwritten == 0
-    }
-
-    fn push(&mut self, bytes: Vec<u8>) {
-        if bytes.is_empty() {
-            return;
-        }
-        self.unwritten += bytes.len();
-        self.segments.push_back(bytes);
-    }
-
-    /// Gather up to [`MAX_WRITE_SEGMENTS`] segment tails into `slices`;
-    /// returns how many were filled.
-    fn gather<'a>(&'a self, slices: &mut [IoSlice<'a>; MAX_WRITE_SEGMENTS]) -> usize {
-        let mut count = 0;
-        for (i, segment) in self.segments.iter().enumerate() {
-            if count == MAX_WRITE_SEGMENTS {
-                break;
-            }
-            let tail = if i == 0 {
-                &segment[self.head_pos..]
-            } else {
-                &segment[..]
-            };
-            slices[count] = IoSlice::new(tail);
-            count += 1;
-        }
-        count
-    }
-
-    /// Account `written` bytes accepted by the kernel, dropping fully
-    /// flushed segments.
-    fn consume(&mut self, mut written: usize) {
-        self.unwritten -= written.min(self.unwritten);
-        while written > 0 {
-            let Some(front) = self.segments.front() else {
-                return;
-            };
-            let remaining = front.len() - self.head_pos;
-            if written >= remaining {
-                written -= remaining;
-                self.head_pos = 0;
-                self.segments.pop_front();
-            } else {
-                self.head_pos += written;
-                return;
-            }
-        }
-    }
-}
+/// Capacity the output buffer and the request body keep once a
+/// response drains. Larger buffers (left by a big batch or `/metrics`
+/// answer) are shrunk back, so an idle connection holds no more.
+const RETAIN_BYTES: usize = 64 * 1024;
 
 /// What the reactor should do after driving a connection.
 #[derive(Debug)]
 pub(crate) enum Step {
     /// Nothing to hand off; keep the connection registered.
     Continue,
-    /// A complete request was parsed, tagged with its freshly assigned
-    /// request id (correlates the stage spans of this request). The
-    /// reactor answers it through [`Conn::respond`] (or sheds it
-    /// through [`Conn::reject_overload`]) before driving this
-    /// connection again.
-    Dispatch(Request, u64),
+    /// A complete request was parsed (read it through
+    /// [`Conn::exchange`]), tagged with its freshly assigned request id
+    /// (correlates the stage spans of this request). The reactor
+    /// answers it through [`Conn::respond`] (or sheds it through
+    /// [`Conn::reject_overload`]) before driving this connection again.
+    Dispatch(u64),
     /// The connection is finished (peer closed, fatal error, or final
     /// response flushed) — deregister and drop it.
     Close,
@@ -141,10 +79,13 @@ pub(crate) struct Conn {
     /// `X-Urlid-Reactor` response header makes that observable).
     reactor: usize,
     parser: RequestParser,
-    /// Response segments not yet accepted by the kernel, flushed with
-    /// vectored writes (one `writev` covers a whole pipelining burst).
-    out: OutQueue,
-    /// Close once the output queue drains (error responses,
+    /// The response being written: encoded straight in here (body, then
+    /// the head in front of it — see [`http::write_head`]), reused for
+    /// every response on the connection.
+    out: Vec<u8>,
+    /// How much of `out` the kernel has accepted.
+    written: usize,
+    /// Close once the output buffer drains (error responses,
     /// `Connection: close`, shutdown drain).
     close_after_write: bool,
     /// The peer half-closed its write side (EOF seen).
@@ -185,7 +126,8 @@ impl Conn {
             stats,
             reactor,
             parser: RequestParser::new(limits),
-            out: OutQueue::default(),
+            out: Vec::new(),
+            written: 0,
             close_after_write: false,
             peer_closed: false,
             // Generous: a full head plus a full body for the parsed
@@ -218,7 +160,7 @@ impl Conn {
     pub(crate) fn interest(&self) -> Interest {
         Interest {
             read: !self.peer_closed,
-            write: !self.out.is_empty(),
+            write: self.has_output(),
         }
     }
 
@@ -234,11 +176,24 @@ impl Conn {
     /// flushing is marked to close the moment its output drains.
     pub(crate) fn begin_drain(&mut self) -> bool {
         self.close_after_write = true;
-        self.out.is_empty()
+        !self.has_output()
     }
 
-    /// The poller says the socket is readable: pull bytes into the
-    /// parser, then (when idle) try to produce the next request.
+    /// Response bytes the kernel has not accepted yet?
+    fn has_output(&self) -> bool {
+        self.written < self.out.len()
+    }
+
+    /// The request [`Step::Dispatch`] announced, and the output buffer
+    /// its response is to be appended to (the response starts at the
+    /// buffer's current length).
+    pub(crate) fn exchange(&mut self) -> (&Request, &mut Vec<u8>) {
+        (self.parser.request(), &mut self.out)
+    }
+
+    /// The poller says the socket is readable: read bytes straight into
+    /// the parser's buffer, then (when idle) try to produce the next
+    /// request.
     ///
     /// At most one short read per event: the poller is level-triggered,
     /// so anything left in the socket buffer re-reports immediately —
@@ -247,15 +202,14 @@ impl Conn {
     /// completely full chunk keeps reading, to drain large bodies in
     /// fewer loop iterations.
     pub(crate) fn on_readable(&mut self, io: &mut dyn Backend, now: Instant) -> Step {
-        let mut chunk = [0u8; 8192];
         loop {
-            match io.read(self.token, &self.stream, &mut chunk) {
+            let (token, stream) = (self.token, &self.stream);
+            match self.parser.read_from(|room| io.read(token, stream, room)) {
                 Ok(0) => {
                     self.peer_closed = true;
                     break;
                 }
                 Ok(n) => {
-                    self.parser.feed(&chunk[..n]);
                     if self.request_started.is_none() {
                         self.request_started = Some(now);
                     }
@@ -265,7 +219,7 @@ impl Conn {
                         // the peer rather than buffer without bound.
                         return Step::Close;
                     }
-                    if n < chunk.len() {
+                    if n < http::READ_CHUNK {
                         break;
                     }
                 }
@@ -285,77 +239,67 @@ impl Conn {
         }
     }
 
-    /// The reactor answered the dispatched request: queue the response
-    /// and push the lifecycle forward (write what the socket accepts
-    /// now; parse the next pipelined request if one is already
-    /// buffered). The write-stage span covers the immediate flush pass
-    /// — what the kernel accepts now; a backpressure remainder drains
-    /// on later writable events and is not re-counted.
+    /// The reactor has appended the response to the dispatched request
+    /// to the output buffer: write what the socket accepts now. The
+    /// write-stage span covers this immediate flush pass — a
+    /// backpressure remainder drains on later writable events and is
+    /// not re-counted. Returns `false` when the connection failed; the
+    /// reactor then closes it, and otherwise moves the lifecycle on
+    /// with [`Conn::advance`].
     pub(crate) fn respond(
         &mut self,
         io: &mut dyn Backend,
-        response: Vec<u8>,
         keep_alive: bool,
         request_id: u64,
         now: Instant,
-    ) -> Step {
+    ) -> bool {
         if !keep_alive {
             self.close_after_write = true;
         }
-        self.queue_bytes(response);
         self.last_activity = now;
         let write_started = Instant::now();
         let flushed = self.flush_output(io, now);
-        let metrics = self.state.metrics();
-        metrics.record_stage_into(
+        self.state.metrics().record_stage_into(
             &self.stats.write,
             self.stripe(),
             request_id,
             Stage::Write,
             urlid_telemetry::duration_nanos(write_started.elapsed()),
         );
-        if flushed.is_err() {
-            return Step::Close;
-        }
-        self.advance(io, now)
+        flushed.is_ok()
     }
 
-    /// Queue a response for writing (whole segments; never memmoved).
-    fn queue_bytes(&mut self, bytes: Vec<u8>) {
-        self.out.push(bytes);
-    }
-
-    /// Write as much pending output as the kernel accepts: every pass
-    /// gathers the queued response segments into one vectored write, so
-    /// a burst of pipelined responses costs one `writev` syscall instead
-    /// of one `write` per response.
+    /// Write as much pending output as the kernel accepts. Once it has
+    /// drained, the request is done with: the buffers are emptied for
+    /// the next one (and shrunk back when a large exchange grew them).
     fn flush_output(&mut self, io: &mut dyn Backend, now: Instant) -> io::Result<()> {
-        while !self.out.is_empty() {
-            let written = {
-                let mut slices = [IoSlice::new(&[]); MAX_WRITE_SEGMENTS];
-                let count = self.out.gather(&mut slices);
-                match io.write_vectored(self.token, &self.stream, &slices[..count]) {
-                    Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                    Ok(n) => n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
+        while self.has_output() {
+            match io.write(self.token, &self.stream, &self.out[self.written..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    self.written += n;
+                    self.last_activity = now;
                 }
-            };
-            self.out.consume(written);
-            self.last_activity = now;
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
         }
+        self.out.clear();
+        self.out.shrink_to(RETAIN_BYTES);
+        self.written = 0;
+        self.parser.release_body(RETAIN_BYTES);
         Ok(())
     }
 
     /// Drive the state machine as far as it goes without new events:
     /// flush output, then either finish (close-after-write), parse the
     /// next buffered request, or wait for more bytes.
-    fn advance(&mut self, io: &mut dyn Backend, now: Instant) -> Step {
+    pub(crate) fn advance(&mut self, io: &mut dyn Backend, now: Instant) -> Step {
         if self.flush_output(io, now).is_err() {
             return Step::Close;
         }
-        if !self.out.is_empty() {
+        if self.has_output() {
             // Output still pending: everything else waits for the
             // socket to accept it (write interest is now on).
             return Step::Continue;
@@ -364,12 +308,12 @@ impl Conn {
             return Step::Close;
         }
         let parse_started = Instant::now();
-        let parsed = self.parser.next_request();
+        let parsed = self.parser.parse_next();
         self.parse_accum_nanos = self
             .parse_accum_nanos
             .saturating_add(urlid_telemetry::duration_nanos(parse_started.elapsed()));
         match parsed {
-            Ok(Some(request)) => {
+            Ok(true) => {
                 let metrics = self.state.metrics();
                 let request_id = metrics.next_request_id();
                 let parse_nanos = std::mem::take(&mut self.parse_accum_nanos);
@@ -383,9 +327,9 @@ impl Conn {
                 // Parsed: the end-to-end latency clock is the reactor's
                 // from here on.
                 self.request_started = None;
-                Step::Dispatch(request, request_id)
+                Step::Dispatch(request_id)
             }
-            Ok(None) => {
+            Ok(false) => {
                 if self.peer_closed {
                     // Clean EOF at a request boundary — or a peer that
                     // gave up mid-request; either way nothing more can
@@ -431,8 +375,9 @@ impl Conn {
             parse_nanos,
         );
         self.close_after_write = true;
-        self.queue_bytes(http::response_bytes(status, &error_body(message), false));
-        if self.flush_output(io, now).is_err() || self.out.is_empty() {
+        self.out
+            .extend_from_slice(&http::response_bytes(status, &error_body(message), false));
+        if self.flush_output(io, now).is_err() || !self.has_output() {
             return Step::Close;
         }
         Step::Continue
@@ -461,13 +406,17 @@ impl Conn {
         if !keep_alive {
             self.close_after_write = true;
         }
-        self.queue_bytes(http::response_bytes_from_reactor(
+        let start = self.out.len();
+        self.out
+            .extend_from_slice(error_body("server overloaded, retry").as_bytes());
+        http::write_head(
+            &mut self.out,
+            start,
             503,
             "application/json",
-            &error_body("server overloaded, retry"),
             keep_alive,
-            self.reactor as u64,
-        ));
+            Some(self.reactor as u64),
+        );
         if self.flush_output(io, now).is_err() {
             return Step::Close;
         }

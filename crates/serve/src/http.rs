@@ -27,8 +27,11 @@ pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// Default upper bound on a request body (bytes) — batch requests included.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
+/// Spare room one socket read lands in ([`RequestParser::read_from`]).
+pub(crate) const READ_CHUNK: usize = 8192;
+
 /// A parsed HTTP request.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub struct Request {
     /// Request method (`GET`, `POST`, ...), uppercased as received.
     pub method: String,
@@ -36,9 +39,9 @@ pub struct Request {
     pub path: String,
     /// Whether the client asked to keep the connection open.
     pub keep_alive: bool,
-    /// The `Accept` header verbatim, when the client sent one (drives
-    /// the `/metrics` JSON-vs-Prometheus content negotiation).
-    pub accept: Option<String>,
+    /// The `Accept` header verbatim, empty when the client sent none
+    /// (drives the `/metrics` JSON-vs-Prometheus content negotiation).
+    pub accept: String,
     /// The request body (empty when no `Content-Length` was sent).
     pub body: String,
 }
@@ -94,21 +97,17 @@ impl Default for ParserLimits {
     }
 }
 
-/// A fully parsed head (request line + headers) whose body has not
-/// completely arrived yet.
-#[derive(Debug)]
-struct PendingHead {
-    method: String,
-    path: String,
-    keep_alive: bool,
-    accept: Option<String>,
-    content_length: usize,
-}
-
 /// The incremental request parser: [`feed`](RequestParser::feed) bytes
-/// in as they arrive, then pull fully parsed requests out with
-/// [`next_request`](RequestParser::next_request). Pipelined requests
-/// come out one per call; partial input answers `Ok(None)` (need more).
+/// in as they arrive (the reactor reads its sockets straight into the
+/// parser's buffer instead), then pull fully parsed
+/// requests out with [`parse_next`](RequestParser::parse_next) — or
+/// [`next_request`](RequestParser::next_request), which hands out an
+/// owned copy. Pipelined requests come out one per call; partial input
+/// answers "need more".
+///
+/// The parser owns one [`Request`] whose method, path, `Accept` and
+/// body buffers are refilled in place, so once they have grown to the
+/// traffic's sizes, parsing allocates nothing.
 ///
 /// Parse errors are sticky in practice: after `Malformed`/`TooLarge`
 /// the stream cannot be resynchronised and the caller must close the
@@ -117,16 +116,24 @@ struct PendingHead {
 #[derive(Debug)]
 pub struct RequestParser {
     limits: ParserLimits,
+    /// Received bytes are `buf[start..end]`; `buf[end..]` is zeroed
+    /// spare room that the next read lands in.
     buf: Vec<u8>,
     /// Offset of the first unconsumed byte in `buf`.
     start: usize,
+    /// End of the received bytes in `buf`.
+    end: usize,
     /// Head-terminator scan cursor (absolute index into `buf`); never
     /// rescans, so byte-at-a-time delivery stays O(total bytes).
     scan: usize,
     /// Start of the head line currently being scanned.
     line_start: usize,
-    /// Parsed head, while waiting for the rest of the body.
-    pending: Option<PendingHead>,
+    /// Declared body length of the parsed head, while waiting for the
+    /// rest of its body.
+    pending: Option<usize>,
+    /// The request being assembled — after `parse_next` answers
+    /// `true`, the one just completed.
+    request: Request,
 }
 
 impl RequestParser {
@@ -136,20 +143,46 @@ impl RequestParser {
             limits,
             buf: Vec::new(),
             start: 0,
+            end: 0,
             scan: 0,
             line_start: 0,
             pending: None,
+            request: Request::default(),
         }
+    }
+
+    /// Make `buf[end..]` at least `room` bytes long. The zeroing of
+    /// `resize` touches only bytes the buffer never held before.
+    fn reserve(&mut self, room: usize) -> &mut [u8] {
+        if self.buf.len() < self.end + room {
+            self.buf.resize(self.end + room, 0);
+        }
+        &mut self.buf[self.end..]
     }
 
     /// Append bytes received from the peer.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.reserve(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// Let `read` fill up to [`READ_CHUNK`] bytes of spare room at the
+    /// end of the buffer, so a socket read lands in place instead of
+    /// being copied out of an intermediate buffer. Returns what `read`
+    /// returned.
+    pub(crate) fn read_from(
+        &mut self,
+        read: impl FnOnce(&mut [u8]) -> io::Result<usize>,
+    ) -> io::Result<usize> {
+        let room = &mut self.reserve(READ_CHUNK)[..READ_CHUNK];
+        let n = read(room)?.min(READ_CHUNK);
+        self.end += n;
+        Ok(n)
     }
 
     /// Number of fed-but-unconsumed bytes.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// True when no partial request is buffered — the connection is at
@@ -158,15 +191,16 @@ impl RequestParser {
         self.pending.is_none() && self.buffered() == 0
     }
 
-    /// Drop the consumed prefix so the buffer does not grow without
-    /// bound across a long-lived keep-alive connection — but only once
-    /// at least half the buffer is consumed, so a pipelined flood pays
-    /// amortized O(1) per byte instead of one full-tail memmove per
-    /// tiny request. (Normal request-per-response traffic consumes the
-    /// whole buffer, making the drain a free truncation.)
+    /// Move the unconsumed tail to the front of the buffer so it does
+    /// not grow without bound across a long-lived keep-alive connection
+    /// — but only once at least half the received bytes are consumed,
+    /// so a pipelined flood pays amortized O(1) per byte instead of one
+    /// full-tail memmove per tiny request. (Normal request-per-response
+    /// traffic consumes everything, making the move a free reset.)
     fn compact(&mut self) {
-        if self.start > 0 && self.start * 2 >= self.buf.len() {
-            self.buf.drain(..self.start);
+        if self.start > 0 && self.start * 2 >= self.end {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.scan -= self.start;
             self.line_start -= self.start;
             self.start = 0;
@@ -177,7 +211,7 @@ impl RequestParser {
     /// after the blank line), tolerating both `\r\n` and bare `\n` line
     /// endings. Returns `None` when the terminator has not arrived yet.
     fn find_head_end(&mut self) -> Option<usize> {
-        while self.scan < self.buf.len() {
+        while self.scan < self.end {
             let byte = self.buf[self.scan];
             self.scan += 1;
             if byte != b'\n' {
@@ -196,126 +230,158 @@ impl RequestParser {
         None
     }
 
-    /// Parse the head section `buf[start..head_end]` into a
-    /// [`PendingHead`] (and enforce the body limit *now*, before any
-    /// body byte is waited for, let alone allocated).
-    fn parse_head(&self, head_end: usize) -> Result<PendingHead, HttpError> {
-        let head = std::str::from_utf8(&self.buf[self.start..head_end])
-            .map_err(|_| HttpError::Malformed("headers are not valid UTF-8".into()))?;
-        let mut lines = head.lines();
-        let request_line = lines.next().unwrap_or("");
-        let mut parts = request_line.split_whitespace();
-        let method = parts
-            .next()
-            .ok_or_else(|| HttpError::Malformed("empty request line".into()))?
-            .to_owned();
-        let path = parts
-            .next()
-            .ok_or_else(|| HttpError::Malformed("request line has no path".into()))?
-            .to_owned();
-        let version = parts
-            .next()
-            .ok_or_else(|| HttpError::Malformed("request line has no version".into()))?;
-        if !version.starts_with("HTTP/1.") {
-            return Err(HttpError::Malformed(format!("bad version {version:?}")));
-        }
-        // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
-        let mut keep_alive = version == "HTTP/1.1";
-        let mut accept = None;
-        let mut content_length: Option<usize> = None;
-        for line in lines {
-            let trimmed = line.trim_end();
-            if trimmed.is_empty() {
-                break;
-            }
-            let Some((name, value)) = trimmed.split_once(':') else {
-                return Err(HttpError::Malformed(format!("bad header {trimmed:?}")));
-            };
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("transfer-encoding") {
-                return Err(HttpError::NotImplemented(format!(
-                    "transfer-encoding {value:?}; send a Content-Length body"
-                )));
-            } else if name.eq_ignore_ascii_case("content-length") {
-                // Digits only: `usize::from_str` would also take a `+`.
-                let length = match value.parse::<usize>() {
-                    Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
-                    _ => {
-                        return Err(HttpError::Malformed(format!(
-                            "bad content-length {value:?}"
-                        )))
+    /// Parse the next complete request into the parser's own
+    /// [`Request`] (read it with [`request`](RequestParser::request)).
+    /// `Ok(false)` means the peer has not sent a complete request yet
+    /// (need more bytes); call again after the next read.
+    pub fn parse_next(&mut self) -> Result<bool, HttpError> {
+        let content_length = match self.pending {
+            Some(length) => length,
+            None => {
+                let Some(head_end) = self.find_head_end() else {
+                    // No terminator yet: a peer streaming an endless
+                    // header section (or newline-less garbage) is cut
+                    // off at the limit instead of growing the buffer
+                    // forever.
+                    if self.buffered() >= self.limits.max_header_bytes {
+                        return Err(HttpError::TooLarge("header section".into()));
                     }
+                    return Ok(false);
                 };
-                if content_length.is_some_and(|seen| seen != length) {
-                    return Err(HttpError::Malformed("conflicting content-length".into()));
-                }
-                content_length = Some(length);
-            } else if name.eq_ignore_ascii_case("connection") {
-                if value.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
-                } else if value.eq_ignore_ascii_case("keep-alive") {
-                    keep_alive = true;
-                }
-            } else if name.eq_ignore_ascii_case("accept") {
-                accept = Some(value.to_owned());
-            }
-        }
-        let content_length = content_length.unwrap_or(0);
-        if content_length > self.limits.max_body_bytes {
-            return Err(HttpError::TooLarge(format!(
-                "body of {content_length} bytes"
-            )));
-        }
-        Ok(PendingHead {
-            method,
-            path,
-            keep_alive,
-            accept,
-            content_length,
-        })
-    }
-
-    /// Pull the next fully parsed request out of the buffer. `Ok(None)`
-    /// means the peer has not sent a complete request yet (need more
-    /// bytes); call again after the next [`feed`](RequestParser::feed).
-    pub fn next_request(&mut self) -> Result<Option<Request>, HttpError> {
-        if self.pending.is_none() {
-            let Some(head_end) = self.find_head_end() else {
-                // No terminator yet: a peer streaming an endless header
-                // section (or newline-less garbage) is cut off at the
-                // limit instead of growing the buffer forever.
-                if self.buffered() >= self.limits.max_header_bytes {
+                if head_end - self.start > self.limits.max_header_bytes {
                     return Err(HttpError::TooLarge("header section".into()));
                 }
-                return Ok(None);
-            };
-            if head_end - self.start > self.limits.max_header_bytes {
-                return Err(HttpError::TooLarge("header section".into()));
+                let length = parse_head(
+                    &self.buf[self.start..head_end],
+                    self.limits.max_body_bytes,
+                    &mut self.request,
+                )?;
+                self.start = head_end;
+                self.pending = Some(length);
+                length
             }
-            let head = self.parse_head(head_end)?;
-            self.start = head_end;
-            self.pending = Some(head);
-        }
-        let content_length = self.pending.as_ref().expect("pending head").content_length;
+        };
         if self.buffered() < content_length {
-            return Ok(None);
+            return Ok(false);
         }
-        let head = self.pending.take().expect("pending head");
-        let body_bytes = self.buf[self.start..self.start + content_length].to_vec();
+        self.pending = None;
+        let body = std::str::from_utf8(&self.buf[self.start..self.start + content_length])
+            .map_err(|_| HttpError::Malformed("body is not valid UTF-8".into()))?;
+        refill(&mut self.request.body, body);
         self.start += content_length;
         self.scan = self.start;
         self.line_start = self.start;
         self.compact();
-        let body = String::from_utf8(body_bytes)
-            .map_err(|_| HttpError::Malformed("body is not valid UTF-8".into()))?;
-        Ok(Some(Request {
-            method: head.method,
-            path: head.path,
-            keep_alive: head.keep_alive,
-            accept: head.accept,
-            body,
-        }))
+        Ok(true)
     }
+
+    /// The request [`parse_next`](RequestParser::parse_next) last
+    /// completed.
+    pub fn request(&self) -> &Request {
+        &self.request
+    }
+
+    /// Drop the completed request's body, and its buffer's capacity
+    /// beyond `keep` bytes, once the request has been answered.
+    pub(crate) fn release_body(&mut self, keep: usize) {
+        self.request.body.clear();
+        self.request.body.shrink_to(keep);
+    }
+
+    /// Pull the next fully parsed request out of the buffer as an owned
+    /// copy. `Ok(None)` means the peer has not sent a complete request
+    /// yet (need more bytes); call again after the next
+    /// [`feed`](RequestParser::feed).
+    pub fn next_request(&mut self) -> Result<Option<Request>, HttpError> {
+        Ok(self.parse_next()?.then(|| self.request.clone()))
+    }
+}
+
+/// Overwrite `dst` with `src`, keeping `dst`'s allocation.
+fn refill(dst: &mut String, src: &str) {
+    dst.clear();
+    dst.push_str(src);
+}
+
+/// Parse a head section (request line + headers) into `req`'s method,
+/// path, keep-alive flag and `Accept`, and return the declared body
+/// length — checked against `max_body` *now*, before any body byte is
+/// waited for, let alone buffered.
+fn parse_head(head: &[u8], max_body: usize, req: &mut Request) -> Result<usize, HttpError> {
+    let head = std::str::from_utf8(head)
+        .map_err(|_| HttpError::Malformed("headers are not valid UTF-8".into()))?;
+    let mut lines = head.lines();
+    let request_line = lines.next().unwrap_or("");
+    let mut parts = request_line.split_whitespace();
+    let method = parts
+        .next()
+        .ok_or_else(|| HttpError::Malformed("empty request line".into()))?;
+    let path = parts
+        .next()
+        .ok_or_else(|| HttpError::Malformed("request line has no path".into()))?;
+    let version = parts
+        .next()
+        .ok_or_else(|| HttpError::Malformed("request line has no version".into()))?;
+    if !version.starts_with("HTTP/1.") {
+        return Err(HttpError::Malformed(format!("bad version {version:?}")));
+    }
+    refill(&mut req.method, method);
+    refill(&mut req.path, path);
+    req.accept.clear();
+    // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
+    req.keep_alive = version == "HTTP/1.1";
+    let mut content_length: Option<usize> = None;
+    for line in lines {
+        let trimmed = line.trim_end();
+        if trimmed.is_empty() {
+            break;
+        }
+        let Some((name, value)) = trimmed.split_once(':') else {
+            return Err(HttpError::Malformed(format!("bad header {trimmed:?}")));
+        };
+        // RFC 9112 §5.1: whitespace between a field name and its colon
+        // must be rejected. Ignoring such a header instead would let
+        // `Content-Length : 28` frame the body differently here than at
+        // a proxy that honours it (request smuggling).
+        if name.is_empty() || name.bytes().any(|b| b.is_ascii_whitespace()) {
+            return Err(HttpError::Malformed(format!("bad header name {name:?}")));
+        }
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(HttpError::NotImplemented(format!(
+                "transfer-encoding {value:?}; send a Content-Length body"
+            )));
+        } else if name.eq_ignore_ascii_case("content-length") {
+            // Digits only: `usize::from_str` would also take a `+`.
+            let length = match value.parse::<usize>() {
+                Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
+                _ => {
+                    return Err(HttpError::Malformed(format!(
+                        "bad content-length {value:?}"
+                    )))
+                }
+            };
+            if content_length.is_some_and(|seen| seen != length) {
+                return Err(HttpError::Malformed("conflicting content-length".into()));
+            }
+            content_length = Some(length);
+        } else if name.eq_ignore_ascii_case("connection") {
+            if value.eq_ignore_ascii_case("close") {
+                req.keep_alive = false;
+            } else if value.eq_ignore_ascii_case("keep-alive") {
+                req.keep_alive = true;
+            }
+        } else if name.eq_ignore_ascii_case("accept") {
+            refill(&mut req.accept, value);
+        }
+    }
+    let content_length = content_length.unwrap_or(0);
+    if content_length > max_body {
+        return Err(HttpError::TooLarge(format!(
+            "body of {content_length} bytes"
+        )));
+    }
+    Ok(content_length)
 }
 
 /// The reason phrase for the status codes the API uses.
@@ -333,50 +399,51 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serialise a JSON response into the bytes to put on the wire. Head
-/// and body are one buffer: a single `write` syscall for small
-/// responses, and no window for a peer to observe a half response.
+/// Complete the response whose body was just appended at
+/// `out[body_start..]` by writing its head in front of it: the status
+/// line, `Content-Type`, `Content-Length`, `Connection` and — when
+/// `reactor` is given — `X-Urlid-Reactor`. Head and body end up as one
+/// buffer: a single `write` syscall for small responses, and no window
+/// for a peer to observe a half response. Nothing is allocated once
+/// `out` has grown to the response's size.
+///
+/// Every response a reactor answers names it in `X-Urlid-Reactor`,
+/// which makes connection affinity an externally observable invariant:
+/// all responses on one connection must name the same reactor (the
+/// integration tests pin this down).
+pub fn write_head(
+    out: &mut Vec<u8>,
+    body_start: usize,
+    status: u16,
+    content_type: &str,
+    keep_alive: bool,
+    reactor: Option<u64>,
+) {
+    let body_len = out.len() - body_start;
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let head_start = out.len();
+    write!(
+        out,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {body_len}\r\nConnection: {connection}\r\n",
+        reason(status),
+    )
+    .expect("writing to a Vec cannot fail");
+    if let Some(reactor) = reactor {
+        write!(out, "X-Urlid-Reactor: {reactor}\r\n").expect("writing to a Vec cannot fail");
+    }
+    out.extend_from_slice(b"\r\n");
+    let head_len = out.len() - head_start;
+    out[body_start..].rotate_right(head_len);
+}
+
+/// A complete JSON response as bytes (see [`write_head`]; no
+/// `X-Urlid-Reactor` header — protocol rejects are answered before any
+/// handler runs).
 pub fn response_bytes(status: u16, body: &str, keep_alive: bool) -> Vec<u8> {
-    response_bytes_with_type(status, "application/json", body, keep_alive)
-}
-
-/// [`response_bytes`] with an explicit content type (the Prometheus
-/// exposition of `/metrics` answers `text/plain`; everything else in
-/// the API is JSON).
-pub fn response_bytes_with_type(
-    status: u16,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> Vec<u8> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
-        reason(status),
-        body.len(),
-    )
-    .into_bytes()
-}
-
-/// [`response_bytes_with_type`] plus an `X-Urlid-Reactor` header naming
-/// the reactor that owns the connection. Every response of a
-/// multi-reactor server carries it, which makes connection affinity an
-/// externally observable invariant: all responses on one connection
-/// must name the same reactor (the integration tests pin this down).
-pub fn response_bytes_from_reactor(
-    status: u16,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-    reactor: u64,
-) -> Vec<u8> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\nX-Urlid-Reactor: {reactor}\r\n\r\n{body}",
-        reason(status),
-        body.len(),
-    )
-    .into_bytes()
+    let mut out = Vec::with_capacity(body.len() + 128);
+    out.extend_from_slice(body.as_bytes());
+    write_head(&mut out, 0, status, "application/json", keep_alive, None);
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -585,6 +652,11 @@ mod tests {
             b"GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n",          // bad header
             b"GET /x HTTP/1.1\r\nContent-Length: banana\r\n\r\n", // bad length
             b"\xff\xfe /x HTTP/1.1\r\n\r\n",                      // non-UTF-8 head
+            // Whitespace before the colon (RFC 9112 §5.1): ignoring the
+            // header would parse its body as a second request.
+            b"POST /x HTTP/1.1\r\nContent-Length : 26\r\n\r\nGET /smuggled HTTP/1.1\r\n\r\n",
+            b"POST /x HTTP/1.1\r\nTransfer-Encoding : chunked\r\n\r\n",
+            b"GET /x HTTP/1.1\r\n: empty-name\r\n\r\n",
         ] {
             assert!(
                 matches!(parse_all(bad), Err(HttpError::Malformed(_))),
@@ -649,19 +721,42 @@ mod tests {
 
     #[test]
     fn accept_header_is_captured_verbatim() {
-        let reqs = parse_all(b"GET /metrics HTTP/1.1\r\nAccept: text/plain; version=0.0.4\r\n\r\n")
-            .unwrap();
-        assert_eq!(reqs[0].accept.as_deref(), Some("text/plain; version=0.0.4"));
-        let reqs = parse_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
-        assert!(reqs[0].accept.is_none());
+        // One parser, refilling one request in place: the second
+        // request's missing `Accept` must not inherit the first's.
+        let mut p = parser();
+        p.feed(b"GET /metrics HTTP/1.1\r\nAccept: text/plain; version=0.0.4\r\n\r\n");
+        p.feed(b"POST /identify HTTP/1.0\r\nContent-Length: 2\r\n\r\nhi");
+        p.feed(b"GET /m HTTP/1.1\r\n\r\n");
+        assert!(p.parse_next().unwrap());
+        assert_eq!(p.request().accept, "text/plain; version=0.0.4");
+        assert!(p.request().body.is_empty());
+        assert!(p.parse_next().unwrap());
+        let req = p.request();
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str()),
+            ("POST", "/identify")
+        );
+        assert!(req.accept.is_empty());
+        assert_eq!(req.body, "hi");
+        assert!(!req.keep_alive);
+        assert!(p.parse_next().unwrap());
+        assert_eq!(p.request().path, "/m");
+        assert!(p.request().body.is_empty());
+        assert!(!p.parse_next().unwrap());
     }
 
     #[test]
-    fn response_bytes_with_type_sets_the_content_type() {
-        let bytes = response_bytes_with_type(200, "text/plain; version=0.0.4", "x 1\n", true);
-        let text = String::from_utf8(bytes).unwrap();
-        assert!(text.contains("Content-Type: text/plain; version=0.0.4\r\n"));
-        assert!(text.contains("Content-Length: 4\r\n"));
+    fn head_writer_puts_the_head_before_the_body() {
+        // The body was appended after earlier bytes; the head lands
+        // between them and the body.
+        let mut out = b"earlier".to_vec();
+        out.extend_from_slice(b"x 1\n");
+        write_head(&mut out, 7, 200, "text/plain; version=0.0.4", true, Some(3));
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "earlierHTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
+             Content-Length: 4\r\nConnection: keep-alive\r\nX-Urlid-Reactor: 3\r\n\r\nx 1\n"
+        );
     }
 
     #[test]

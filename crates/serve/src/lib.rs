@@ -106,7 +106,7 @@ mod reactor;
 pub mod server;
 pub mod sys;
 
-pub use cache::{normalize_url, ResultCache};
+pub use cache::{normalize_url, normalize_url_into, ResultCache};
 pub use loadgen::{
     run_loadgen, run_suite, BenchReport, BenchSuite, LoadgenConfig, SERVE_BENCH_SCHEMA,
 };

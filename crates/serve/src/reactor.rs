@@ -33,10 +33,11 @@
 //!
 //! ## Handler panics
 //!
-//! A panic in a handler is caught around `route`: the request is
-//! answered `500` (counted in `errors`), the reactor swaps in fresh
-//! extraction scratch buffers in case the panic left them half
-//! written, and the connection keeps serving.
+//! A panic in a handler is caught around `route`: whatever part of a
+//! response it had written is truncated away, the request is answered
+//! `500` (counted in `errors`), the reactor swaps in a fresh workspace
+//! in case the panic left its scratch buffers half written, and the
+//! connection keeps serving.
 //!
 //! ## Tokens and generations
 //!
@@ -54,9 +55,9 @@
 //! whatever remains at the drain deadline.
 
 use crate::conn::{Conn, Step};
-use crate::http::{self, ParserLimits, Request};
+use crate::http::{self, ParserLimits};
 use crate::metrics::{ReactorStats, TRACE_STRIPES};
-use crate::server::{error_body, route, RequestTrace, ServeConfig, ServerState};
+use crate::server::{error_body, route, RequestTrace, ServeConfig, ServerState, Workspace};
 use crate::sys::{Backend, Event, Interest, WakePipe, LISTENER, WAKE};
 use std::net::TcpListener;
 use std::os::fd::AsRawFd;
@@ -64,7 +65,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use urlid_features::ExtractScratch;
 use urlid_telemetry::duration_nanos;
 
 /// One slab slot: the connection (when occupied), its registration
@@ -102,9 +102,10 @@ pub(crate) struct Reactor {
     limits: ParserLimits,
     idle_timeout: Duration,
     drain_timeout: Duration,
-    /// The extraction buffers every cache miss on this reactor scores
-    /// through: after warm-up, scoring a URL allocates nothing.
-    scratch: ExtractScratch,
+    /// This reactor's model handle and the scratch buffers its
+    /// requests decode, normalise and score through: after warm-up, a
+    /// cache-hit `/identify` allocates nothing.
+    workspace: Workspace,
     /// Event-loop passes so far (one per `Backend::wait` return).
     pass: u64,
     /// Connections admitted in the current pass.
@@ -143,6 +144,7 @@ impl Reactor {
         let now = Instant::now();
         let cache_set = index % state.cache().sets();
         let stats = state.metrics().register_reactor();
+        let workspace = Workspace::new(&state);
         Ok(Reactor {
             index,
             backend,
@@ -160,7 +162,7 @@ impl Reactor {
             },
             idle_timeout: config.idle_timeout,
             drain_timeout: config.drain_timeout,
-            scratch: ExtractScratch::new(),
+            workspace,
             pass: 0,
             admitted: 0,
             admit_per_pass: if config.max_inflight == 0 {
@@ -271,7 +273,7 @@ impl Reactor {
         loop {
             step = match step {
                 Step::Continue => return self.sync_interest(idx),
-                Step::Dispatch(request, request_id) => self.serve(idx, request, request_id, now),
+                Step::Dispatch(request_id) => self.serve(idx, request_id, now),
                 Step::Close => return self.close_conn(idx),
             };
         }
@@ -280,12 +282,13 @@ impl Reactor {
     /// Answer one parsed request on this thread — or shed it with a
     /// `503` when this pass's admission budget is spent — and return
     /// the connection's next step.
-    fn serve(&mut self, idx: usize, request: Request, request_id: u64, now: Instant) -> Step {
+    fn serve(&mut self, idx: usize, request_id: u64, now: Instant) -> Step {
         let slot = &mut self.slots[idx];
         let conn = slot.conn.as_mut().expect("resolved");
+        let keep_alive = conn.exchange().0.keep_alive;
         if slot.admitted_pass != self.pass {
             if self.admitted >= self.admit_per_pass {
-                return conn.reject_overload(&mut *self.backend, request.keep_alive, now);
+                return conn.reject_overload(&mut *self.backend, keep_alive, now);
             }
             self.admitted += 1;
             slot.admitted_pass = self.pass;
@@ -294,37 +297,37 @@ impl Reactor {
         let started = Instant::now();
         let mut trace = RequestTrace::new(request_id, self.index % TRACE_STRIPES);
         trace.cache_set = self.cache_set;
+        let (request, out) = conn.exchange();
+        let start = out.len();
         let routed = catch_unwind(AssertUnwindSafe(|| {
-            route(&self.state, &request, &mut self.scratch, &mut trace)
+            route(&self.state, request, out, &mut self.workspace, &mut trace)
         }));
         let metrics = self.state.metrics();
-        let (status, content_type, body) = routed.unwrap_or_else(|_| {
-            // The handler died partway through; whatever it left in the
-            // scratch buffers is suspect, so the next request starts
-            // from fresh ones.
-            self.scratch = ExtractScratch::new();
+        let (status, content_type) = routed.unwrap_or_else(|_| {
+            // The handler died partway through: drop what it wrote, and
+            // since whatever it left in the scratch buffers is suspect,
+            // the next request starts from a fresh workspace.
+            out.truncate(start);
+            self.workspace = Workspace::new(&self.state);
             metrics.errors.fetch_add(1, Ordering::Relaxed);
-            (500, "application/json", error_body("internal error"))
+            out.extend_from_slice(error_body("internal error").as_bytes());
+            (500, "application/json")
         });
-        let response = http::response_bytes_from_reactor(
+        http::write_head(
+            out,
+            start,
             status,
             content_type,
-            &body,
-            request.keep_alive,
-            self.index as u64,
+            keep_alive,
+            Some(self.index as u64),
         );
-        let step = conn.respond(
-            &mut *self.backend,
-            response,
-            request.keep_alive,
-            request_id,
-            now,
-        );
+        let identify = matches!(request.path.as_str(), "/identify" | "/identify_batch");
+        let flushed = conn.respond(&mut *self.backend, keep_alive, request_id, now);
         self.stats.busy.fetch_sub(1, Ordering::Relaxed);
         // End-to-end: parsed request → response flushed to the socket
         // (`respond` ran the write pass).
         let total_nanos = duration_nanos(started.elapsed());
-        if matches!(request.path.as_str(), "/identify" | "/identify_batch") {
+        if identify {
             metrics.record_latency(total_nanos);
         }
         if metrics
@@ -333,7 +336,9 @@ impl Reactor {
         {
             // Off the steady-state path by construction (threshold +
             // rate limit); key=value so the line greps and splits
-            // mechanically.
+            // mechanically. The connection still holds the request:
+            // the next one is parsed by `advance` below.
+            let request = conn.exchange().0;
             eprintln!(
                 "slow_request request_id={request_id} method={} path={} status={status} \
                  cache_us={} extract_us={} score_us={} total_us={}",
@@ -345,7 +350,10 @@ impl Reactor {
                 total_nanos / 1000,
             );
         }
-        step
+        if !flushed {
+            return Step::Close;
+        }
+        conn.advance(&mut *self.backend, now)
     }
 
     /// Accept every connection the backlog holds.

@@ -5,18 +5,27 @@
 //! `N` **reactor threads** (the internal `reactor` module, one per core
 //! by default) share the accept load: each owns its own `SO_REUSEPORT`
 //! listener (the kernel load-balances incoming connections across
-//! them), its own connection slab, its own wake pipe, and its own
-//! result-cache shard set. A connection is adopted by exactly one
-//! reactor and never migrates — no hot-path state crosses reactor
-//! boundaries. Each reactor feeds bytes into per-connection incremental
-//! parsers, runs every parsed request through `route` on its own
-//! thread, and writes the response over non-blocking I/O multiplexed
-//! by a level-triggered epoll poller (see [`crate::sys`]). The thread
-//! budget is the reactor count, independent of the number of open
-//! connections — thousands of mostly-idle keep-alive clients cost slab
-//! slots, not threads. Only `/identify_batch` fans out further: its
-//! cache misses score on `score_batch`'s scoped threads while the
+//! them), its own connection slab, its own wake pipe, its own
+//! result-cache shard set, and its own handler workspace (model handle
+//! plus scratch buffers). A connection is adopted by exactly one
+//! reactor and never migrates. Each reactor reads bytes into
+//! per-connection incremental parsers, runs every parsed request
+//! through `route` on its own thread, encodes the response into the
+//! connection's output buffer, and writes it over non-blocking I/O
+//! multiplexed by a level-triggered epoll poller (see [`crate::sys`]).
+//! The thread budget is the reactor count, independent of the number of
+//! open connections — thousands of mostly-idle keep-alive clients cost
+//! slab slots, not threads. Only `/identify_batch` fans out further:
+//! its cache misses score on `score_batch`'s scoped threads while the
 //! reactor waits.
+//!
+//! What reactors still share on the request path is a handful of
+//! atomics: the request-id counter, the per-endpoint and error counters
+//! ([`Metrics`]), the cache's hit and miss counters, the end-to-end
+//! latency histogram and the cache/extract/score stage histograms (the
+//! parse and write histograms are per reactor), the model epoch (read
+//! only, written by a reload), and, with telemetry on, one of eight
+//! trace-ring stripes picked by reactor index.
 //!
 //! Each reactor also runs **admission control**: it serves at most
 //! [`ServeConfig::max_inflight`] connections per event-loop pass and
@@ -25,27 +34,32 @@
 //!
 //! ## Hot reload
 //!
-//! The model lives in a private `ModelSlot` behind an `RwLock`: request
-//! handlers take a read lock just long enough to clone the
-//! `Arc<LanguageIdentifier>` and the epoch, then score without any lock
-//! held. `POST /admin/reload` loads the new `.urlm` model *before*
-//! taking the write lock, so the lock is held only for the pointer swap —
-//! in-flight requests finish on the model they started with and no
-//! request is ever dropped. A file that fails to load (a missing path, a
-//! bad checksum, a file without the `.urlm` magic) leaves the old model
-//! serving. The epoch bump atomically invalidates the result cache (see
-//! [`crate::cache`]).
+//! The model lives in a private `ModelSlot` behind an `RwLock`, and its
+//! epoch is mirrored in an atomic. Each reactor keeps its own handle on
+//! the model (an `Arc<LanguageIdentifier>` and the epoch it was read
+//! at, always taken together under one read lock) and re-reads the slot
+//! only when the atomic differs from its epoch, so a request touches
+//! neither the lock nor the `Arc`'s reference count. `POST
+//! /admin/reload` loads the new `.urlm` model *before* taking the write
+//! lock, so the lock is held only for the pointer swap — in-flight
+//! requests finish on the model they started with and no request is
+//! ever dropped. A reactor lets go of the old model at its next
+//! `/identify` after the swap. A file that fails to load (a missing
+//! path, a bad checksum, a file without the `.urlm` magic) leaves the
+//! old model serving. The epoch bump atomically invalidates the result
+//! cache (see [`crate::cache`]).
 
-use crate::cache::{normalize_url, CachedScores, ResultCache};
+use crate::cache::{normalize_url, normalize_url_into, CachedScores, ResultCache};
 use crate::http::{Request, MAX_BODY_BYTES};
 use crate::metrics::Metrics;
 use crate::reactor::Reactor;
 use crate::sys::{Poller, WakePipe, Waker};
 use serde::Value;
-use std::io;
+use serde_json::Parser;
+use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -194,6 +208,9 @@ pub struct ReloadReport {
 /// `Arc`; tests reach the cache and metrics through it.
 pub struct ServerState {
     slot: RwLock<ModelSlot>,
+    /// The slot's epoch, stored (`Release`) with each swap: a reactor
+    /// whose [`Workspace`] holds another epoch re-reads the slot.
+    epoch: AtomicU64,
     cache: ResultCache,
     metrics: Metrics,
 }
@@ -239,12 +256,14 @@ impl ServerState {
                 path: model_path,
                 load_ms: None,
             }),
+            epoch: AtomicU64::new(0),
             cache: ResultCache::with_sets(cache_capacity, ResultCache::DEFAULT_SHARDS, cache_sets),
             metrics: Metrics::new(),
         }
     }
 
-    /// The current model and its epoch (consistent snapshot).
+    /// The current model and its epoch (consistent snapshot; request
+    /// handlers go through their reactor's own model handle instead).
     pub fn model(&self) -> (Arc<LanguageIdentifier>, u64) {
         let slot = self.read_slot();
         (Arc::clone(&slot.identifier), slot.epoch)
@@ -316,6 +335,10 @@ impl ServerState {
             slot.epoch += 1;
             slot.path = Some(path);
             slot.load_ms = Some(load_ms);
+            // Stored under the write lock, so two racing reloads leave
+            // the atomic at the slot's final epoch. Pairs with the
+            // `Acquire` load in `Workspace::refresh`.
+            self.epoch.store(slot.epoch, Ordering::Release);
             slot.epoch
         };
         // The epoch bump already invalidates stale entries; clearing just
@@ -333,10 +356,11 @@ impl ServerState {
     fn scores_cached(
         &self,
         key: &str,
+        identifier: &LanguageIdentifier,
+        epoch: u64,
         scratch: &mut ExtractScratch,
         trace: &mut RequestTrace,
     ) -> (CachedScores, bool) {
-        let (identifier, epoch) = self.model();
         let cache_started = Instant::now();
         let hit = self.cache.get_in(trace.cache_set, key, epoch);
         trace.cache_ns = duration_nanos(cache_started.elapsed());
@@ -383,9 +407,10 @@ impl ServerState {
     fn scores_cached_batch(
         &self,
         keys: &[String],
+        identifier: &LanguageIdentifier,
+        epoch: u64,
         trace: &mut RequestTrace,
     ) -> Vec<(CachedScores, bool)> {
-        let (identifier, epoch) = self.model();
         let cache_started = Instant::now();
         let mut out: Vec<Option<(CachedScores, bool)>> = keys
             .iter()
@@ -424,6 +449,51 @@ impl ServerState {
     }
 }
 
+/// What one reactor's request handlers reuse from request to request:
+/// its handle on the model and its scratch buffers. Once the buffers
+/// have grown to the traffic's sizes, a cache-hit `/identify` allocates
+/// nothing.
+pub(crate) struct Workspace {
+    /// The model this reactor scores with, and the epoch it was read
+    /// at: one consistent pair, re-read only when the shared epoch
+    /// moves.
+    model: Arc<LanguageIdentifier>,
+    epoch: u64,
+    /// The extraction buffers every cache miss scores through.
+    scratch: ExtractScratch,
+    /// The JSON key being decoded.
+    key: String,
+    /// The raw URL of an `/identify` body.
+    url: String,
+    /// Its normalised form: the cache key, scored and echoed.
+    normalized: String,
+}
+
+impl Workspace {
+    /// A workspace holding the current model.
+    pub(crate) fn new(state: &ServerState) -> Self {
+        let (model, epoch) = state.model();
+        Workspace {
+            model,
+            epoch,
+            scratch: ExtractScratch::new(),
+            key: String::new(),
+            url: String::new(),
+            normalized: String::new(),
+        }
+    }
+
+    /// Re-read the model slot if a reload moved the epoch since it was
+    /// last read. The slot's lock hands out model and epoch together,
+    /// so the pair stays consistent even when another reload lands in
+    /// between.
+    fn refresh(&mut self, state: &ServerState) {
+        if state.epoch.load(Ordering::Acquire) != self.epoch {
+            (self.model, self.epoch) = state.model();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Response building
 // ---------------------------------------------------------------------
@@ -436,41 +506,53 @@ pub(crate) fn error_body(message: &str) -> String {
     serde_json::to_string(&o).expect("error body serialises")
 }
 
-/// One URL's result object (shared by `/identify` and `/identify_batch`).
-/// Decisions and the best language are derived from the scores alone
-/// (sign convention), which is what makes score-only caching sufficient.
-fn result_value(key: &str, scores: &CachedScores, cached: bool) -> Value {
-    let mut score_map = Value::object();
-    let mut accepted = Vec::new();
-    for lang in ALL_LANGUAGES {
-        let score = scores[lang.index()];
-        score_map.insert(
-            lang.iso_code(),
-            match score {
-                Some(s) => Value::Float(s),
-                None => Value::Null,
-            },
-        );
-        // The sign convention (decision == score > 0) is proptested for
-        // every algorithm, so decisions are free given the scores.
-        if score.is_some_and(|s| s > 0.0) {
-            accepted.push(Value::Str(lang.iso_code().to_owned()));
+/// Append `message` to `out` as an `{"error": ...}` body; returns
+/// `status` for the handler to answer with.
+fn write_error(out: &mut Vec<u8>, status: u16, message: &str) -> u16 {
+    out.extend_from_slice(error_body(message).as_bytes());
+    status
+}
+
+/// Append one URL's result object to `out` (shared by `/identify` and
+/// `/identify_batch`): `url`, `best`, `accepted`, `scores`, `cached`,
+/// in that order, byte-identical to what `serde_json` makes of the
+/// equivalent `Value` tree (the tests hold it to that). Decisions and
+/// the best language are derived from the scores alone (sign
+/// convention), which is what makes score-only caching sufficient.
+fn write_result(out: &mut Vec<u8>, key: &str, scores: &CachedScores, cached: bool) {
+    out.extend_from_slice(b"{\"url\":");
+    serde_json::write_escaped(key, out);
+    out.extend_from_slice(b",\"best\":");
+    match LanguageClassifierSet::best_of(scores) {
+        Some(lang) => serde_json::write_escaped(lang.iso_code(), out),
+        None => out.extend_from_slice(b"null"),
+    }
+    out.extend_from_slice(b",\"accepted\":[");
+    // The sign convention (decision == score > 0) is proptested for
+    // every algorithm, so decisions are free given the scores.
+    let accepted = ALL_LANGUAGES
+        .iter()
+        .filter(|lang| scores[lang.index()].is_some_and(|s| s > 0.0));
+    for (i, lang) in accepted.enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        serde_json::write_escaped(lang.iso_code(), out);
+    }
+    out.extend_from_slice(b"],\"scores\":{");
+    for (i, lang) in ALL_LANGUAGES.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        serde_json::write_escaped(lang.iso_code(), out);
+        out.push(b':');
+        match scores[lang.index()] {
+            Some(score) => serde_json::write_float(score, out),
+            None => out.extend_from_slice(b"null"),
         }
     }
-    let best = LanguageClassifierSet::best_of(scores);
-    let mut o = Value::object();
-    o.insert("url", Value::Str(key.to_owned()));
-    o.insert(
-        "best",
-        match best {
-            Some(lang) => Value::Str(lang.iso_code().to_owned()),
-            None => Value::Null,
-        },
-    );
-    o.insert("accepted", Value::Array(accepted));
-    o.insert("scores", score_map);
-    o.insert("cached", Value::Bool(cached));
-    o
+    out.extend_from_slice(b"},\"cached\":");
+    out.extend_from_slice(if cached { b"true}" } else { b"false}" });
 }
 
 fn model_value(status: &ModelStatus) -> Value {
@@ -525,80 +607,151 @@ fn model_value(status: &ModelStatus) -> Value {
 // Request handlers
 // ---------------------------------------------------------------------
 
+/// The 400 message of a body that is not JSON.
+fn invalid_json(e: serde_json::Error) -> String {
+    format!("invalid JSON body: {e}")
+}
+
 fn parse_json(body: &str) -> Result<Value, String> {
-    serde_json::from_str::<Value>(body).map_err(|e| format!("invalid JSON body: {e}"))
+    serde_json::from_str::<Value>(body).map_err(invalid_json)
+}
+
+/// Walk a request body that should be a JSON object, handing the value
+/// of its first `field` key to `read`. `read` either consumes the value
+/// and answers `true`, or, when the value is not of the kind it wants,
+/// consumes nothing and answers `false`. Everything else is skipped,
+/// but checked: the whole body is validated before its shape is
+/// judged, so a JSON error wins over a shape error. These are the
+/// decisions a `Value` tree and `Value::get` made: first key wins,
+/// unknown keys are ignored. `Ok(true)` when `read` took the value.
+fn decode_field(
+    body: &str,
+    key: &mut String,
+    field: &str,
+    mut read: impl FnMut(&mut Parser<'_>) -> Result<bool, serde_json::Error>,
+) -> Result<bool, String> {
+    let mut parser = Parser::new(body);
+    let mut taken = None;
+    let mut walk = || {
+        if !parser.begin_object()? {
+            return parser.skip_value();
+        }
+        while parser.next_key(key)? {
+            if taken.is_none() && key == field {
+                let took = read(&mut parser)?;
+                taken = Some(took);
+                if took {
+                    continue;
+                }
+            }
+            parser.skip_value()?;
+        }
+        Ok(())
+    };
+    walk().and_then(|()| parser.end()).map_err(invalid_json)?;
+    Ok(taken == Some(true))
+}
+
+/// Decode an `/identify` body, `{"url": "..."}`, into `url` (see
+/// [`decode_field`]); the error is the 400 message.
+fn decode_identify(body: &str, key: &mut String, url: &mut String) -> Result<(), String> {
+    if decode_field(body, key, "url", |parser| parser.string(url))? {
+        Ok(())
+    } else {
+        Err("body must be {\"url\": \"...\"}".into())
+    }
+}
+
+/// Decode an `/identify_batch` body, `{"urls": ["...", ...]}`, into
+/// normalised URLs (see [`decode_field`]); the error is the 400
+/// message. Of the elements that cannot be scored, the first one in
+/// the array names the error.
+fn decode_batch(body: &str, key: &mut String) -> Result<Vec<String>, String> {
+    let mut keys = Vec::new();
+    let mut url = String::new();
+    let mut unscorable = None;
+    let found = decode_field(body, key, "urls", |parser| {
+        if !parser.begin_array()? {
+            return Ok(false);
+        }
+        while parser.next_element()? {
+            if parser.string(&mut url)? {
+                let key = normalize_url(&url);
+                if key.is_empty() {
+                    unscorable.get_or_insert("empty url in batch");
+                }
+                keys.push(key);
+            } else {
+                unscorable.get_or_insert("urls must all be strings");
+                parser.skip_value()?;
+            }
+        }
+        Ok(true)
+    })?;
+    if !found {
+        return Err("body must be {\"urls\": [\"...\", ...]}".into());
+    }
+    match unscorable {
+        Some(message) => Err(message.into()),
+        None => Ok(keys),
+    }
 }
 
 fn handle_identify(
     state: &ServerState,
     req: &Request,
-    scratch: &mut ExtractScratch,
+    out: &mut Vec<u8>,
+    ws: &mut Workspace,
     trace: &mut RequestTrace,
-) -> (u16, String) {
-    let parsed = match parse_json(&req.body) {
-        Ok(v) => v,
-        Err(e) => return (400, error_body(&e)),
-    };
-    let Some(Value::Str(url)) = parsed.get("url") else {
-        return (400, error_body("body must be {\"url\": \"...\"}"));
-    };
-    let key = normalize_url(url);
-    if key.is_empty() {
-        return (400, error_body("empty url"));
+) -> u16 {
+    if let Err(message) = decode_identify(&req.body, &mut ws.key, &mut ws.url) {
+        return write_error(out, 400, &message);
     }
-    let (scores, cached) = state.scores_cached(&key, scratch, trace);
-    let body =
-        serde_json::to_string(&result_value(&key, &scores, cached)).expect("response serialises");
+    normalize_url_into(&ws.url, &mut ws.normalized);
+    if ws.normalized.is_empty() {
+        return write_error(out, 400, "empty url");
+    }
+    ws.refresh(state);
+    let (scores, cached) =
+        state.scores_cached(&ws.normalized, &ws.model, ws.epoch, &mut ws.scratch, trace);
+    write_result(out, &ws.normalized, &scores, cached);
     state.metrics.identify.fetch_add(1, Ordering::Relaxed);
-    (200, body)
+    200
 }
 
 fn handle_identify_batch(
     state: &ServerState,
     req: &Request,
+    out: &mut Vec<u8>,
+    ws: &mut Workspace,
     trace: &mut RequestTrace,
-) -> (u16, String) {
-    let parsed = match parse_json(&req.body) {
-        Ok(v) => v,
-        Err(e) => return (400, error_body(&e)),
+) -> u16 {
+    let keys = match decode_batch(&req.body, &mut ws.key) {
+        Ok(keys) => keys,
+        Err(message) => return write_error(out, 400, &message),
     };
-    let Some(Value::Array(raw_urls)) = parsed.get("urls") else {
-        return (400, error_body("body must be {\"urls\": [\"...\", ...]}"));
-    };
-    let mut keys = Vec::with_capacity(raw_urls.len());
-    for v in raw_urls {
-        match v {
-            Value::Str(url) => {
-                let key = normalize_url(url);
-                if key.is_empty() {
-                    return (400, error_body("empty url in batch"));
-                }
-                keys.push(key);
-            }
-            _ => return (400, error_body("urls must all be strings")),
+    ws.refresh(state);
+    let results = state.scores_cached_batch(&keys, &ws.model, ws.epoch, trace);
+    let hits = results.iter().filter(|(_, cached)| *cached).count();
+    write!(
+        out,
+        "{{\"count\":{},\"cache_hits\":{hits},\"results\":[",
+        keys.len()
+    )
+    .expect("writing to a Vec cannot fail");
+    for (i, (key, (scores, cached))) in keys.iter().zip(&results).enumerate() {
+        if i > 0 {
+            out.push(b',');
         }
+        write_result(out, key, scores, *cached);
     }
-    let results = state.scores_cached_batch(&keys, trace);
-    let mut hits = 0u64;
-    let items: Vec<Value> = keys
-        .iter()
-        .zip(&results)
-        .map(|(key, (scores, cached))| {
-            hits += u64::from(*cached);
-            result_value(key, scores, *cached)
-        })
-        .collect();
-    let mut o = Value::object();
-    o.insert("count", Value::Uint(items.len() as u64));
-    o.insert("cache_hits", Value::Uint(hits));
-    o.insert("results", Value::Array(items));
-    let body = serde_json::to_string(&o).expect("response serialises");
+    out.extend_from_slice(b"]}");
     state.metrics.identify_batch.fetch_add(1, Ordering::Relaxed);
     state
         .metrics
         .batch_urls
         .fetch_add(keys.len() as u64, Ordering::Relaxed);
-    (200, body)
+    200
 }
 
 fn handle_healthz(state: &ServerState) -> (u16, String) {
@@ -615,17 +768,14 @@ fn handle_healthz(state: &ServerState) -> (u16, String) {
 /// Does this `Accept` header ask for the Prometheus text exposition?
 /// JSON stays the default: only an explicit `text/plain` (what
 /// Prometheus sends) or an OpenMetrics media type switches formats.
-fn wants_prometheus(accept: Option<&str>) -> bool {
-    let Some(accept) = accept else {
-        return false;
-    };
+fn wants_prometheus(accept: &str) -> bool {
     let accept = accept.to_ascii_lowercase();
     accept.contains("text/plain") || accept.contains("application/openmetrics-text")
 }
 
 fn handle_metrics(state: &ServerState, req: &Request) -> (u16, &'static str, String) {
     state.metrics.metrics.fetch_add(1, Ordering::Relaxed);
-    if wants_prometheus(req.accept.as_deref()) {
+    if wants_prometheus(&req.accept) {
         return (200, CONTENT_TYPE_PROM, prometheus_text(state));
     }
     let status = state.model_snapshot();
@@ -918,49 +1068,69 @@ fn handle_reload(state: &ServerState, req: &Request) -> (u16, String) {
     }
 }
 
-/// Route one request to its handler (runs on the reactor thread that
-/// parsed it, which owns `scratch` — one reusable extraction buffer per
-/// reactor — and `trace` — the stage-span context for this request).
-/// Returns status, content type, and body.
+/// Append `body` to `out`; returns the status and content type to
+/// answer with.
+fn put(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &'static str,
+    body: &str,
+) -> (u16, &'static str) {
+    out.extend_from_slice(body.as_bytes());
+    (status, content_type)
+}
+
+/// Route one request to its handler, which appends the response body
+/// to `out`; returns the status and content type for the head. Runs on
+/// the reactor thread that parsed the request, which owns `ws` — its
+/// model handle and scratch buffers — and `trace` — the stage-span
+/// context for this request.
 pub(crate) fn route(
     state: &ServerState,
     req: &Request,
-    scratch: &mut ExtractScratch,
+    out: &mut Vec<u8>,
+    ws: &mut Workspace,
     trace: &mut RequestTrace,
-) -> (u16, &'static str, String) {
-    let (status, content_type, body) = match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/identify") => {
-            let (status, body) = handle_identify(state, req, scratch, trace);
-            (status, CONTENT_TYPE_JSON, body)
-        }
-        ("POST", "/identify_batch") => {
-            let (status, body) = handle_identify_batch(state, req, trace);
-            (status, CONTENT_TYPE_JSON, body)
-        }
+) -> (u16, &'static str) {
+    let (status, content_type) = match (req.method.as_str(), req.path.as_str()) {
+        ("POST", "/identify") => (
+            handle_identify(state, req, out, ws, trace),
+            CONTENT_TYPE_JSON,
+        ),
+        ("POST", "/identify_batch") => (
+            handle_identify_batch(state, req, out, ws, trace),
+            CONTENT_TYPE_JSON,
+        ),
         ("GET", "/healthz") => {
             let (status, body) = handle_healthz(state);
-            (status, CONTENT_TYPE_JSON, body)
+            put(out, status, CONTENT_TYPE_JSON, &body)
         }
-        ("GET", "/metrics") => handle_metrics(state, req),
+        ("GET", "/metrics") => {
+            let (status, content_type, body) = handle_metrics(state, req);
+            put(out, status, content_type, &body)
+        }
         ("GET", "/admin/trace") => {
             let (status, body) = handle_trace(state);
-            (status, CONTENT_TYPE_JSON, body)
+            put(out, status, CONTENT_TYPE_JSON, &body)
         }
         ("POST", "/admin/reload") => {
             let (status, body) = handle_reload(state, req);
-            (status, CONTENT_TYPE_JSON, body)
+            put(out, status, CONTENT_TYPE_JSON, &body)
         }
         (
             _,
             "/identify" | "/identify_batch" | "/healthz" | "/metrics" | "/admin/trace"
             | "/admin/reload",
-        ) => (405, CONTENT_TYPE_JSON, error_body("method not allowed")),
-        _ => (404, CONTENT_TYPE_JSON, error_body("not found")),
+        ) => (
+            write_error(out, 405, "method not allowed"),
+            CONTENT_TYPE_JSON,
+        ),
+        _ => (write_error(out, 404, "not found"), CONTENT_TYPE_JSON),
     };
     if status >= 400 {
         state.metrics.errors.fetch_add(1, Ordering::Relaxed);
     }
-    (status, content_type, body)
+    (status, content_type)
 }
 
 // ---------------------------------------------------------------------
@@ -1129,4 +1299,268 @@ pub fn spawn(config: &ServeConfig, state: Arc<ServerState>) -> io::Result<Server
         wakers,
         reactors: reactor_threads,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The `Value` tree `write_result` replaced: the oracle the encoder
+    /// must match byte for byte once `serde_json` renders it.
+    fn result_value(key: &str, scores: &CachedScores, cached: bool) -> Value {
+        let mut score_map = Value::object();
+        let mut accepted = Vec::new();
+        for lang in ALL_LANGUAGES {
+            let score = scores[lang.index()];
+            score_map.insert(
+                lang.iso_code(),
+                match score {
+                    Some(s) => Value::Float(s),
+                    None => Value::Null,
+                },
+            );
+            if score.is_some_and(|s| s > 0.0) {
+                accepted.push(Value::Str(lang.iso_code().to_owned()));
+            }
+        }
+        let best = LanguageClassifierSet::best_of(scores);
+        let mut o = Value::object();
+        o.insert("url", Value::Str(key.to_owned()));
+        o.insert(
+            "best",
+            match best {
+                Some(lang) => Value::Str(lang.iso_code().to_owned()),
+                None => Value::Null,
+            },
+        );
+        o.insert("accepted", Value::Array(accepted));
+        o.insert("scores", score_map);
+        o.insert("cached", Value::Bool(cached));
+        o
+    }
+
+    /// `/identify`'s decode through a `Value` tree, then normalisation:
+    /// the oracle for `decode_identify` (the normalised URL, or the 400
+    /// message).
+    fn identify_by_value(body: &str) -> Result<String, String> {
+        let parsed = parse_json(body)?;
+        let Some(Value::Str(url)) = parsed.get("url") else {
+            return Err("body must be {\"url\": \"...\"}".into());
+        };
+        let key = normalize_url(url);
+        if key.is_empty() {
+            return Err("empty url".into());
+        }
+        Ok(key)
+    }
+
+    /// `/identify_batch`'s decode through a `Value` tree: the oracle for
+    /// `decode_batch`.
+    fn batch_by_value(body: &str) -> Result<Vec<String>, String> {
+        let parsed = parse_json(body)?;
+        let Some(Value::Array(raw_urls)) = parsed.get("urls") else {
+            return Err("body must be {\"urls\": [\"...\", ...]}".into());
+        };
+        let mut keys = Vec::with_capacity(raw_urls.len());
+        for v in raw_urls {
+            match v {
+                Value::Str(url) => {
+                    let key = normalize_url(url);
+                    if key.is_empty() {
+                        return Err("empty url in batch".into());
+                    }
+                    keys.push(key);
+                }
+                _ => return Err("urls must all be strings".into()),
+            }
+        }
+        Ok(keys)
+    }
+
+    /// The streaming path `handle_identify` takes, up to scoring.
+    fn identify_streaming(body: &str) -> Result<String, String> {
+        let (mut key, mut url, mut normalized) = (String::new(), String::new(), String::new());
+        decode_identify(body, &mut key, &mut url)?;
+        normalize_url_into(&url, &mut normalized);
+        if normalized.is_empty() {
+            return Err("empty url".into());
+        }
+        Ok(normalized)
+    }
+
+    fn encoded(key: &str, scores: &CachedScores, cached: bool) -> String {
+        let mut out = Vec::new();
+        write_result(&mut out, key, scores, cached);
+        String::from_utf8(out).expect("the encoder writes UTF-8")
+    }
+
+    fn assert_encoder_matches(key: &str, scores: &CachedScores, cached: bool) {
+        assert_eq!(
+            encoded(key, scores, cached),
+            serde_json::to_string(&result_value(key, scores, cached)).unwrap(),
+            "key {key:?}, scores {scores:?}"
+        );
+    }
+
+    /// Scores worth pinning: signed zeros, subnormals, extreme
+    /// exponents, and the non-finite values JSON writes as `null`.
+    const EDGE_SCORES: [f64; 14] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -f64::MIN_POSITIVE / 3.0,
+        f64::MIN_POSITIVE,
+        1e-300,
+        -1.5e-7,
+        1e21,
+        -1.7976931348623157e308,
+        123456.789,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.1,
+    ];
+
+    #[test]
+    fn result_encoder_matches_the_value_tree_on_edge_cases() {
+        let keys = [
+            "http://www.wetterbericht.de/berlin",
+            "",
+            "a\"quoted\"\\back\\slash",
+            "\u{0}\u{1}\u{8}\u{b}\u{1f}\t\n\r\u{7f}",
+            "http://müller.de/straße/€/😀",
+        ];
+        for key in keys {
+            for (i, &x) in EDGE_SCORES.iter().enumerate() {
+                let scores = [
+                    Some(x),
+                    None,
+                    Some(-x),
+                    Some(EDGE_SCORES[(i + 3) % EDGE_SCORES.len()]),
+                    Some(0.5),
+                ];
+                assert_encoder_matches(key, &scores, i % 2 == 0);
+            }
+            assert_encoder_matches(key, &[None; 5], true);
+            assert_encoder_matches(key, &[Some(-1.0); 5], false);
+        }
+    }
+
+    #[test]
+    fn decoders_match_the_value_path_on_edge_cases() {
+        for body in [
+            r#"{"url": "http://www.a.de/"}"#,
+            r#"  {"url":"HTTP://WWW.A.DE/Pfad#frag"}  "#,
+            r#"{"id": {"url": 1}, "u\u0072l": "h\/t\"tp"}"#,
+            r#"{"url": 5, "url": "http://second.de/"}"#,
+            r#"{"url": "http://first.de/", "url": "http://second.de/"}"#,
+            r#"{"url": " "}"#,
+            r#"{"url": "http://a.de/"} trailing"#,
+            r#"{"url": "http://a.de/", }"#,
+            r#"{"url": "\x"}"#,
+            r#"{"other": nul, "url": "http://a.de/"}"#,
+            r#"["url", "http://a.de/"]"#,
+            r#""http://a.de/""#,
+            "",
+            "{}",
+            r#"{"urls": ["http://a.de/", " HTTP://B.FR/X ", "c.it"]}"#,
+            r#"{"urls": ["http://a.de/", 7, " "]}"#,
+            r#"{"urls": ["http://a.de/", " ", 7]}"#,
+            r#"{"urls": "http://a.de/", "urls": ["http://b.de/"]}"#,
+            r#"{"urls": [], "x": [1, {"urls": 2}]}"#,
+            r#"{"urls": ["a.de"] "#,
+        ] {
+            assert_eq!(
+                identify_streaming(body),
+                identify_by_value(body),
+                "{body:?}"
+            );
+            assert_eq!(
+                decode_batch(body, &mut String::new()),
+                batch_by_value(body),
+                "{body:?}"
+            );
+        }
+    }
+
+    /// A score: missing, one of the edge values, an arbitrary bit
+    /// pattern (NaNs and subnormals included), or an ordinary value.
+    fn score_from((kind, bits, normal): (u8, u64, f64)) -> Option<f64> {
+        match kind {
+            0 => None,
+            1 => Some(EDGE_SCORES[(bits % EDGE_SCORES.len() as u64) as usize]),
+            2 => Some(f64::from_bits(bits)),
+            _ => Some(normal),
+        }
+    }
+
+    /// Bodies built from members a crawler's client — or an attacker —
+    /// might send: plain and escaped `url` keys, duplicates, wrong
+    /// kinds, nested objects, batches, and broken JSON.
+    fn body_from((members, open, close): (Vec<String>, String, String)) -> String {
+        format!("{open}{}{close}", members.join(","))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The result encoder is byte-identical to the `Value` tree it
+        /// replaced, for keys with quotes, backslashes, control
+        /// characters and non-ASCII, and arbitrary scores.
+        #[test]
+        fn result_encoder_matches_the_value_tree(
+            key in "[a-zA-Z0-9\"\\\\\u{0}-\u{1f}\u{7f}éß€😀/:.?=#& ]{0,32}",
+            scores in proptest::collection::vec(
+                (0u8..4, 0u64..u64::MAX, -40.0f64..40.0),
+                5..6,
+            ),
+            cached in 0u8..2,
+        ) {
+            let scores: CachedScores = std::array::from_fn(|i| score_from(scores[i]));
+            assert_encoder_matches(&key, &scores, cached == 1);
+        }
+
+        /// On arbitrary JSON-ish text, both decoders agree with the
+        /// `Value` path: the same URL(s), or the same 400 message.
+        #[test]
+        fn decoders_match_the_value_path_on_arbitrary_text(
+            body in "[ \t\n{}\\[\\]:,\"\\\\/ulrsx0-9.eE+\\-ntfa]{0,48}",
+        ) {
+            prop_assert_eq!(identify_streaming(&body), identify_by_value(&body));
+            prop_assert_eq!(decode_batch(&body, &mut String::new()), batch_by_value(&body));
+        }
+
+        /// The same on bodies shaped like real requests.
+        #[test]
+        fn decoders_match_the_value_path_on_url_shaped_bodies(
+            parts in (
+                proptest::collection::vec(
+                    prop_oneof![
+                        "\"url\" ?: ?\"[a-zA-Z0-9:/.?=#&% é]{0,30}\"",
+                        "\"url\":\"[hH][tT]{2}[pP]://[a-zA-Z.]{1,12}/[a-zA-Z/?=#:]{0,10}\"",
+                        "\"url\":\"[a-z\\\\\"/nu0-9]{0,10}\"",
+                        "\"u\\\\u0072l\":\"[a-zA-Z./:]{1,12}\"",
+                        "\"url\": ?[0-9]{1,3}",
+                        "\"url\": null",
+                        "\"url\": \"[ \t]{0,2}\"",
+                        "\"urls\": ?\\[\"[a-zA-Z./:]{0,10}\"(, ?\"[A-Z.:/ ]{0,10}\"){0,3}\\]",
+                        "\"urls\": \\[[0-9]{1,2}, \"x\"\\]",
+                        "\"urls\": \\[\"[ ]{0,1}\", \"a\"\\]",
+                        "\"urls\": ?\"[a-z.]{0,6}\"",
+                        "\"x\": \\{\"url\": \"nested\", \"urls\": \\[\\]\\}",
+                        "\"[a-z]{1,4}\": ?[0-9.eE+\\-]{1,6}",
+                        "\"[a-z]{1,3}\\\\[nt\"u/]\": true",
+                        "[a-z\",:]{0,3}",
+                    ],
+                    0..5,
+                ),
+                "[ \n]{0,2}\\{?[ ]{0,1}",
+                "[ ]{0,1}\\}?[ \n]{0,1}[x,\\]]{0,1}",
+            ).prop_map(body_from),
+        ) {
+            prop_assert_eq!(identify_streaming(&parts), identify_by_value(&parts));
+            prop_assert_eq!(decode_batch(&parts, &mut String::new()), batch_by_value(&parts));
+        }
+    }
 }

@@ -73,7 +73,7 @@ pub const WAKE: u64 = u64::MAX - 1;
 /// The I/O engine a reactor drives its connections through.
 ///
 /// [`Poller`] (epoll) is the one production engine: it reports which
-/// fds are ready and `read`/`write_vectored` are the plain syscalls on
+/// fds are ready and `read`/`write` are the plain syscalls on
 /// the ready socket. The trait stays so a test can swap in a simulated
 /// engine; the token parameters let such an engine key per-connection
 /// state without a fd. The reactor sees a level-triggered surface:
@@ -106,13 +106,8 @@ pub trait Backend: Send {
         buf: &mut [u8],
     ) -> io::Result<usize>;
 
-    /// Vectored write for the connection registered under `token`.
-    fn write_vectored(
-        &mut self,
-        token: u64,
-        stream: &std::net::TcpStream,
-        bufs: &[io::IoSlice<'_>],
-    ) -> io::Result<usize>;
+    /// Write `buf` for the connection registered under `token`.
+    fn write(&mut self, token: u64, stream: &std::net::TcpStream, buf: &[u8]) -> io::Result<usize>;
 }
 
 impl Backend for Poller {
@@ -146,14 +141,14 @@ impl Backend for Poller {
         (&mut &*stream).read(buf)
     }
 
-    fn write_vectored(
+    fn write(
         &mut self,
         _token: u64,
         stream: &std::net::TcpStream,
-        bufs: &[io::IoSlice<'_>],
+        buf: &[u8],
     ) -> io::Result<usize> {
         use std::io::Write as _;
-        (&mut &*stream).write_vectored(bufs)
+        (&mut &*stream).write(buf)
     }
 }
 

@@ -159,13 +159,16 @@ fn pipelined_requests_on_one_connection_answer_in_order() {
     server.shutdown();
 }
 
-/// A large pipelining burst — far more requests than one vectored write
-/// can carry — still answers every request, in order, on one
-/// connection. The client deliberately delays its reads so responses
-/// pile up in the connection's segment queue and drain through the
-/// `writev` batching path. With an admission budget of one connection
-/// per event-loop pass the burst must still answer in full: pipelined
-/// follow-ups on an admitted connection are never shed.
+/// A large pipelining burst — 64 requests in one client write — still
+/// answers every request, in order, on one connection. The client
+/// deliberately delays its reads so responses back up behind the
+/// kernel's socket buffer: the connection parses its next request only
+/// once the previous response has drained, so the burst drains one
+/// response at a time through the connection's single output buffer
+/// (the name dates from vectored writes of queued responses). With an
+/// admission budget of one connection per event-loop pass the burst
+/// must still answer in full: pipelined follow-ups on an admitted
+/// connection are never shed.
 #[test]
 fn large_pipelined_burst_drains_through_vectored_writes() {
     large_pipelined_burst_drains_on(ServeConfig::default());

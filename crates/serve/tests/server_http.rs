@@ -174,6 +174,12 @@ fn error_paths_return_json_errors() {
     let (status, body) = request(addr, "POST", "/identify", Some("{not json"));
     assert_eq!(status, 400);
     assert!(as_str(&body, "error").contains("JSON"));
+    // Nesting deep enough to overflow a recursive parser's stack: one
+    // 400, and the server keeps serving (the requests below).
+    let deep = "[".repeat(1 << 20);
+    let (status, body) = request(addr, "POST", "/identify", Some(&deep));
+    assert_eq!(status, 400);
+    assert!(as_str(&body, "error").contains("nesting deeper than"));
     // Wrong field.
     let (status, _) = request(addr, "POST", "/identify", Some("{\"uri\": \"x\"}"));
     assert_eq!(status, 400);
@@ -192,7 +198,7 @@ fn error_paths_return_json_errors() {
     // Errors are counted.
     let (_, metrics) = request(addr, "GET", "/metrics", None);
     let requests = metrics.get("requests").expect("requests section");
-    assert_eq!(uint_of(requests, "errors"), 6);
+    assert_eq!(uint_of(requests, "errors"), 7);
     server.shutdown();
 }
 

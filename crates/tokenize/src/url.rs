@@ -296,16 +296,9 @@ impl<'a> UrlParts<'a> {
             None => (before_frag, None),
         };
         // Scheme.
-        let (scheme, rest) = match before_query.find("://") {
-            Some(idx)
-                if before_query[..idx]
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '+' || c == '-' || c == '.')
-                    && idx > 0 =>
-            {
-                (Some(&before_query[..idx]), &before_query[idx + 3..])
-            }
-            _ => (None, before_query),
+        let (scheme, rest) = match Self::scheme_len(before_query) {
+            Some(idx) => (Some(&before_query[..idx]), &before_query[idx + 3..]),
+            None => (None, before_query),
         };
         // Host[:port] / path split.
         let (authority, path) = match rest.find('/') {
@@ -349,6 +342,29 @@ impl<'a> UrlParts<'a> {
                 fragment,
             }
         }
+    }
+
+    /// Length of the scheme `url` starts with: the text before its
+    /// first `://`, provided that text is a non-empty run of ASCII
+    /// alphanumerics, `+`, `-` and `.`. A `://` anywhere else — inside
+    /// a query carrying another URL, say — marks no scheme. This is the
+    /// scheme rule of [`UrlParts::split`], for callers that only need
+    /// to know where the host starts.
+    ///
+    /// ```
+    /// use urlid_tokenize::UrlParts;
+    /// assert_eq!(UrlParts::scheme_len("svn+ssh://host/x"), Some(7));
+    /// assert_eq!(UrlParts::scheme_len("www.a.de/?u=http://b.de/"), None);
+    /// assert_eq!(UrlParts::scheme_len("://host"), None);
+    /// ```
+    pub fn scheme_len(url: &str) -> Option<usize> {
+        let idx = url.find("://")?;
+        let scheme = &url[..idx];
+        let valid = !scheme.is_empty()
+            && scheme
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'+' | b'-' | b'.'));
+        valid.then_some(idx)
     }
 
     /// The URL scheme as written, if present.
