@@ -728,6 +728,8 @@ mod tests {
     #[test]
     fn cheap_tables_render() {
         let mut ctx = tiny_ctx();
+        let t2 = table2_3(&mut ctx);
+        assert!(t2.contains("Table 2") && t2.contains("Table 3"));
         let t4 = table4_5(&mut ctx);
         assert!(t4.contains("Table 4") && t4.contains("Table 5"));
         let t8 = table8(&mut ctx);

@@ -4,23 +4,25 @@
 //! for *fitting* — hash maps, per-model `Vec`s, trait objects. Scoring a
 //! URL through them walks five independent models, each probing its own
 //! storage per feature. This module is the runtime representation the
-//! hot path uses instead (the Polynesia lesson from PAPERS.md: co-design
-//! the runtime layout with the access pattern):
+//! hot path uses instead (the Polynesia lesson from PAPERS.md: lay the
+//! runtime out for the access pattern it serves):
 //!
-//! * every algorithm that is a function of dense per-feature data lowers
-//!   itself through the [`CompileScorer`] trait into a [`Lowering`] —
-//!   Naive Bayes and MaxEnt contribute one weight lane per feature,
-//!   Relative Entropy two (the smoothed class distributions), rank-order
-//!   two (dense rank tables), the character Markov model dense
-//!   transition log-prob tables;
+//! * the algorithms whose score is a function of dense per-feature data
+//!   lower themselves through the [`CompileScorer`] trait into a
+//!   [`Lowering`] — Naive Bayes and MaxEnt contribute one weight lane per
+//!   feature, Relative Entropy two (the smoothed class distributions);
 //! * `CompiledPlane` (crate-internal; reached through
-//!   [`crate::LanguageClassifierSet::compile`]) interleaves all
-//!   languages' lanes into **one
-//!   contiguous language-major matrix** (`matrix[j * stride ..]` is
-//!   feature `j`'s row holding every language's lanes side by side), so
-//!   scoring is a single pass over the URL's sparse vector with one
-//!   cache-friendly row fetch per feature instead of five independent
-//!   probes.
+//!   [`crate::LanguageClassifierSet::compile`]) interleaves the lowered
+//!   languages' lanes into **one contiguous language-major matrix**
+//!   (`matrix[j * stride ..]` is feature `j`'s row holding every
+//!   language's lanes side by side), so scoring is a single pass over
+//!   the URL's sparse vector with one cache-friendly row fetch per
+//!   feature instead of five independent probes;
+//! * the plane runs one of two kernels, picked by the trained algorithm:
+//!   the *linear* kernel over NB/ME lanes (one chunked `acc += x · row`
+//!   per feature) or the *entropy* kernel over RE lane pairs. The first
+//!   language that lowers picks it. A `.urlm` model holds one algorithm
+//!   for all five languages, so a trained model lowers whole.
 //!
 //! ## The correctness contract
 //!
@@ -33,27 +35,27 @@
 //! stronger than the 1e-12 the differential suite demands and is what
 //! makes compiled *decisions* exactly equal to interpreted ones.
 //!
-//! Scorers that do not lower (decision trees, k-NN, the Section 5.6
-//! combination classifiers, ad-hoc test scorers) stay interpreted inside
-//! a compiled set: the plane scores what it can in the fused pass and
-//! the set falls back to the boxed scorer for the rest — still
-//! benefiting from the arena-interned extraction.
+//! Every other scorer stays interpreted inside a compiled set: decision
+//! trees, k-NN, the Section 5.6 combination classifiers, the rank-order
+//! and character Markov models of the paper's preliminary comparison,
+//! ad-hoc test scorers, and any language whose algorithm needs the
+//! kernel the plane did not pick. The set scores those through their
+//! boxed scorers — the interpreted oracle itself, so their scores are
+//! bit-identical by construction — while still extracting once through
+//! the plane's arena-interned vocabulary.
 
 use crate::lanes;
-use crate::markov::{markov_encode, markov_transition_index, MARKOV_TRANSITIONS};
 use crate::set::LanguageScorer;
 use serde::{Deserialize, Serialize};
-use urlid_features::{CompiledTransform, ExtractScratch, FeatureExtractor, SparseVector};
+use urlid_features::{CompiledTransform, FeatureExtractor, SparseVector};
 use urlid_mapped::Lane;
-use urlid_tokenize::Tokenizer;
 
 /// Lowering a trained model into the compiled plane's dense form.
 ///
-/// Implemented by every algorithm whose score is a function of dense
-/// per-feature (or per-transition) data: Naive Bayes, Relative Entropy,
-/// MaxEnt, rank-order and the character Markov model. The plane reaches
-/// implementations through [`crate::VectorClassifier::as_compile`] /
-/// [`crate::UrlClassifier::as_compile`].
+/// Implemented by the algorithms whose score is a function of dense
+/// per-feature data: Naive Bayes, Relative Entropy and MaxEnt. The plane
+/// reaches implementations through
+/// [`crate::VectorClassifier::as_compile`].
 pub trait CompileScorer {
     /// Lower the trained model for a feature space of `dim` dimensions.
     /// Implementations pad their dense arrays to `dim` with the exact
@@ -99,91 +101,44 @@ pub enum Lowering {
         /// Clamped default for features beyond the lane length.
         default_neg: f64,
     },
-    /// Cavnar–Trenkle out-of-place distance over dense rank tables
-    /// (−1.0 marks a feature absent from a profile).
-    RankOrder {
-        /// Positive-profile rank per feature (−1.0 = not in profile).
-        rank_pos: Vec<f64>,
-        /// Negative-profile rank per feature (−1.0 = not in profile).
-        rank_neg: Vec<f64>,
-        /// Penalty for features missing from a profile.
-        max_penalty: usize,
-    },
-    /// Character Markov model: dense per-transition log-probability
-    /// tables (one entry per `(context, next)` pair) for both classes.
-    Markov {
-        /// `log P(next | context)` of the positive class, indexed by
-        /// the dense `(context, next)` transition index.
-        log_pos: Vec<f64>,
-        /// Same for the negative class.
-        log_neg: Vec<f64>,
-        /// The tokenizer the classifier scores through.
-        tokenizer: Tokenizer,
-    },
 }
 
-/// How one language participates in the fused vector pass.
-#[derive(Debug, Clone)]
-enum VectorPlan {
-    /// Not lowered: the set scores this language through its boxed
-    /// interpreted scorer.
-    None,
-    /// Naive Bayes lanes at `offset` within each feature row.
-    NaiveBayes {
-        offset: usize,
-        bias: f64,
-        default: f64,
-    },
-    /// MaxEnt lane at `offset`.
-    MaxEnt {
-        offset: usize,
-        slack_diff: f64,
-        c: f64,
-    },
-    /// Relative-entropy lanes `[q_pos, q_neg]` at `offset`.
-    RelativeEntropy {
-        offset: usize,
-        default_pos: f64,
-        default_neg: f64,
-    },
-    /// Rank-order lanes `[rank_pos, rank_neg]` at `offset`.
-    RankOrder { offset: usize, max_penalty: usize },
-}
-
-impl VectorPlan {
-    fn lanes(&self) -> usize {
+impl Lowering {
+    /// Split into the plan scalars and the dense lanes, in the order
+    /// they sit within a feature row.
+    fn into_parts(self) -> (PlanMeta, Vec<Vec<f64>>) {
         match self {
-            VectorPlan::None => 0,
-            VectorPlan::NaiveBayes { .. } | VectorPlan::MaxEnt { .. } => 1,
-            VectorPlan::RelativeEntropy { .. } | VectorPlan::RankOrder { .. } => 2,
+            Lowering::NaiveBayes {
+                weights,
+                bias,
+                default,
+            } => (PlanMeta::NaiveBayes { bias, default }, vec![weights]),
+            Lowering::MaxEnt {
+                weights,
+                slack_diff,
+                c,
+            } => (PlanMeta::MaxEnt { slack_diff, c }, vec![weights]),
+            Lowering::RelativeEntropy {
+                q_pos,
+                q_neg,
+                default_pos,
+                default_neg,
+            } => (
+                PlanMeta::RelativeEntropy {
+                    default_pos,
+                    default_neg,
+                },
+                vec![q_pos, q_neg],
+            ),
         }
     }
 }
 
-/// The fused Markov half of the plane: every Markov language's two
-/// log-prob lanes interleaved per transition, so one row fetch per
-/// character transition feeds all languages.
+/// The plane's accumulation kernel, picked by the trained algorithm.
 #[derive(Debug, Clone)]
-struct MarkovPlane {
-    tokenizer: Tokenizer,
-    /// Lanes per transition row (2 × number of fused languages).
-    stride: usize,
-    /// `MARKOV_TRANSITIONS` rows × `stride`: `[lp_lang, ln_lang, ...]`.
-    /// A [`Lane`] so a `.urlm`-loaded plane reads the tables straight
-    /// out of the mapped file.
-    matrix: Lane<f64>,
-    /// Lane offset per language (`None` = not a fused Markov language).
-    lanes: [Option<usize>; 5],
-}
-
-/// Uniform-algorithm shape of the vector pass, detected at build time.
-/// When every lowered plan shares an accumulation kernel, the per-feature
-/// loop drops the per-language plan dispatch and runs the fixed-width
-/// chunked lanes of [`crate::lanes`] instead.
-#[derive(Debug, Clone)]
-enum FastPath {
-    /// Heterogeneous plans (or rank-order lanes): the general loop.
-    General,
+enum Kernel {
+    /// No language lowered: the plane only extracts.
+    None,
     /// Every lowered language is Naive Bayes or MaxEnt — one linear lane
     /// each, so the whole row accumulates as a single chunked
     /// `acc[k] += x · row[k]`. `defaults` is the out-of-vocabulary row
@@ -196,11 +151,59 @@ enum FastPath {
         defaults: Vec<f64>,
     },
     /// Every lowered language is Relative Entropy — the per-feature
-    /// `(q_pos, q_neg)` pair loop runs without plan dispatch.
+    /// `(q_pos, q_neg)` pair walk.
     Entropy {
         /// Out-of-vocabulary `(default_pos, default_neg)` row.
         defaults: Vec<f64>,
     },
+}
+
+impl Kernel {
+    /// The one kernel `plans` run through, with its out-of-vocabulary
+    /// row. Plans mixing linear and entropy lanes are refused: `build`
+    /// never lowers both, so no trainer can write them.
+    fn of(plans: &[PlanMeta; 5], offsets: &[usize; 5], stride: usize) -> Result<Kernel, String> {
+        let mut defaults = vec![0.0f64; stride];
+        let (mut linear, mut entropy) = (false, false);
+        for (plan, &offset) in plans.iter().zip(offsets) {
+            match *plan {
+                PlanMeta::None => {}
+                PlanMeta::NaiveBayes { default, .. } => {
+                    linear = true;
+                    defaults[offset] = default;
+                }
+                PlanMeta::MaxEnt { .. } => linear = true,
+                PlanMeta::RelativeEntropy {
+                    default_pos,
+                    default_neg,
+                } => {
+                    entropy = true;
+                    defaults[offset] = default_pos;
+                    defaults[offset + 1] = default_neg;
+                }
+            }
+        }
+        match (linear, entropy) {
+            (false, false) => Ok(Kernel::None),
+            (true, false) => Ok(Kernel::Linear { defaults }),
+            (false, true) => Ok(Kernel::Entropy { defaults }),
+            (true, true) => {
+                Err("plans mix the linear (NB/ME) and entropy (RE) kernels".to_string())
+            }
+        }
+    }
+}
+
+/// Lane offsets of `plans` within a feature row — assigned sequentially
+/// in language order — and the total lane count (the stride).
+fn lane_offsets(plans: &[PlanMeta; 5]) -> ([usize; 5], usize) {
+    let mut offsets = [0usize; 5];
+    let mut next = 0usize;
+    for (offset, plan) in offsets.iter_mut().zip(plans) {
+        *offset = next;
+        next += plan.lanes();
+    }
+    (offsets, next)
 }
 
 /// The compiled runtime representation of a trained
@@ -221,11 +224,12 @@ pub struct CompiledPlane {
     /// `.urlm`-loaded plane scores straight out of the mapped file;
     /// compiled-in-process planes own their `Vec`.
     matrix: Lane<f64>,
-    /// Per-language participation in the fused vector pass.
-    plans: [VectorPlan; 5],
-    /// Detected uniform-algorithm kernel for the vector pass.
-    fast: FastPath,
-    markov: Option<MarkovPlane>,
+    /// Per-language plan scalars (`PlanMeta::None` = interpreted).
+    plans: [PlanMeta; 5],
+    /// Each language's first lane within a feature row.
+    offsets: [usize; 5],
+    /// The kernel the lowered languages accumulate through.
+    kernel: Kernel,
 }
 
 impl CompiledPlane {
@@ -241,172 +245,47 @@ impl CompiledPlane {
             "compiled transform must preserve the feature dimensionality"
         );
 
-        /// One Markov language's lowering: (log_pos, log_neg, tokenizer).
-        type MarkovLowering = (Vec<f64>, Vec<f64>, Tokenizer);
-        let mut vector_lowerings: [Option<Lowering>; 5] = Default::default();
-        let mut markov_lowerings: [Option<MarkovLowering>; 5] = Default::default();
+        // The first language that lowers picks the kernel; a language
+        // whose algorithm needs the other kernel stays interpreted.
+        let mut plans: [PlanMeta; 5] = Default::default();
+        let mut lanes: [Vec<Vec<f64>>; 5] = Default::default();
+        let mut linear = None;
         for (i, scorer) in scorers.iter().enumerate() {
-            match scorer {
-                Some(LanguageScorer::Vector(model)) => {
-                    if let Some(compile) = model.as_compile() {
-                        match compile.lower(dim) {
-                            // A Markov lowering out of a vector scorer
-                            // would be a bug in the implementation; stay
-                            // interpreted rather than mis-score.
-                            Lowering::Markov { .. } => {}
-                            lowering => vector_lowerings[i] = Some(lowering),
-                        }
-                    }
-                }
-                Some(LanguageScorer::Url(classifier)) => {
-                    if let Some(compile) = classifier.as_compile() {
-                        if let Lowering::Markov {
-                            log_pos,
-                            log_neg,
-                            tokenizer,
-                        } = compile.lower(dim)
-                        {
-                            markov_lowerings[i] = Some((log_pos, log_neg, tokenizer));
-                        }
-                    }
-                }
-                // Hybrid scorers mix a URL-side constituent with the
-                // shared vector; they stay interpreted (and still reuse
-                // the plane's compiled extraction).
-                Some(LanguageScorer::Hybrid(_)) | None => {}
-            }
-        }
-
-        // Assign lane offsets and interleave the vector matrix.
-        let mut plans: [VectorPlan; 5] = [
-            VectorPlan::None,
-            VectorPlan::None,
-            VectorPlan::None,
-            VectorPlan::None,
-            VectorPlan::None,
-        ];
-        let mut offset = 0usize;
-        for (i, lowering) in vector_lowerings.iter().enumerate() {
-            let plan = match lowering {
-                None => VectorPlan::None,
-                Some(Lowering::NaiveBayes { bias, default, .. }) => VectorPlan::NaiveBayes {
-                    offset,
-                    bias: *bias,
-                    default: *default,
-                },
-                Some(Lowering::MaxEnt { slack_diff, c, .. }) => VectorPlan::MaxEnt {
-                    offset,
-                    slack_diff: *slack_diff,
-                    c: *c,
-                },
-                Some(Lowering::RelativeEntropy {
-                    default_pos,
-                    default_neg,
-                    ..
-                }) => VectorPlan::RelativeEntropy {
-                    offset,
-                    default_pos: *default_pos,
-                    default_neg: *default_neg,
-                },
-                Some(Lowering::RankOrder { max_penalty, .. }) => VectorPlan::RankOrder {
-                    offset,
-                    max_penalty: *max_penalty,
-                },
-                Some(Lowering::Markov { .. }) => unreachable!("filtered above"),
+            let Some(LanguageScorer::Vector(model)) = scorer else {
+                continue;
             };
-            offset += plan.lanes();
-            plans[i] = plan;
+            let Some(compile) = model.as_compile() else {
+                continue;
+            };
+            let (plan, plan_lanes) = compile.lower(dim).into_parts();
+            let is_linear = !matches!(plan, PlanMeta::RelativeEntropy { .. });
+            if *linear.get_or_insert(is_linear) == is_linear {
+                plans[i] = plan;
+                lanes[i] = plan_lanes;
+            }
         }
-        let stride = offset;
+
+        // Interleave the lanes into the language-major matrix (every
+        // lane is padded to at least `dim`).
+        let (offsets, stride) = lane_offsets(&plans);
         let mut matrix = vec![0.0f64; dim * stride];
-        for j in 0..dim {
-            let row = &mut matrix[j * stride..(j + 1) * stride];
-            for (i, lowering) in vector_lowerings.iter().enumerate() {
-                match (lowering, &plans[i]) {
-                    (
-                        Some(Lowering::NaiveBayes { weights, .. }),
-                        VectorPlan::NaiveBayes {
-                            offset, default, ..
-                        },
-                    ) => {
-                        row[*offset] = weights.get(j).copied().unwrap_or(*default);
-                    }
-                    (Some(Lowering::MaxEnt { weights, .. }), VectorPlan::MaxEnt { offset, .. }) => {
-                        row[*offset] = weights.get(j).copied().unwrap_or(0.0);
-                    }
-                    (
-                        Some(Lowering::RelativeEntropy { q_pos, q_neg, .. }),
-                        VectorPlan::RelativeEntropy {
-                            offset,
-                            default_pos,
-                            default_neg,
-                        },
-                    ) => {
-                        row[*offset] = q_pos.get(j).copied().unwrap_or(*default_pos);
-                        row[*offset + 1] = q_neg.get(j).copied().unwrap_or(*default_neg);
-                    }
-                    (
-                        Some(Lowering::RankOrder {
-                            rank_pos, rank_neg, ..
-                        }),
-                        VectorPlan::RankOrder { offset, .. },
-                    ) => {
-                        row[*offset] = rank_pos.get(j).copied().unwrap_or(-1.0);
-                        row[*offset + 1] = rank_neg.get(j).copied().unwrap_or(-1.0);
-                    }
-                    _ => {}
+        for (plan_lanes, &offset) in lanes.iter().zip(&offsets) {
+            for (k, lane) in plan_lanes.iter().enumerate() {
+                for (j, &w) in lane[..dim].iter().enumerate() {
+                    matrix[j * stride + offset + k] = w;
                 }
             }
         }
-
-        // Fuse the Markov languages that share a tokenizer configuration
-        // (they always do in practice — `MarkovClassifier::train` uses
-        // the default — but a mismatched one must stay interpreted
-        // rather than be scored through the wrong tokenizer).
-        let reference_tokenizer = markov_lowerings
-            .iter()
-            .flatten()
-            .map(|(_, _, t)| t.clone())
-            .next();
-        let markov = reference_tokenizer.map(|tokenizer| {
-            let mut lanes = [None; 5];
-            let mut lane = 0usize;
-            for (i, lowering) in markov_lowerings.iter().enumerate() {
-                if let Some((_, _, t)) = lowering {
-                    if *t == tokenizer {
-                        lanes[i] = Some(lane);
-                        lane += 2;
-                    }
-                }
-            }
-            let stride = lane;
-            let mut matrix = vec![0.0f64; MARKOV_TRANSITIONS * stride];
-            for (i, lowering) in markov_lowerings.iter().enumerate() {
-                let (Some((log_pos, log_neg, _)), Some(off)) = (lowering, lanes[i]) else {
-                    continue;
-                };
-                for t in 0..MARKOV_TRANSITIONS {
-                    matrix[t * stride + off] = log_pos[t];
-                    matrix[t * stride + off + 1] = log_neg[t];
-                }
-            }
-            MarkovPlane {
-                tokenizer,
-                stride,
-                matrix: Lane::from_vec(matrix),
-                lanes,
-            }
-        });
-
-        let fast = detect_fast_path(&plans, stride);
+        let kernel =
+            Kernel::of(&plans, &offsets, stride).expect("build lowers one kernel's plans only");
         CompiledPlane {
             transform,
             dim,
             stride,
             matrix: Lane::from_vec(matrix),
             plans,
-            fast,
-            markov,
+            offsets,
+            kernel,
         }
     }
 
@@ -420,46 +299,36 @@ impl CompiledPlane {
         self.dim
     }
 
-    /// Lanes per feature row of the fused matrix.
+    /// Lanes per feature row of the fused matrix (0 when no language
+    /// lowered and the plane only extracts).
     pub fn stride(&self) -> usize {
         self.stride
     }
 
-    /// Does the plane's matrix (or Markov table) read out of a mapped
-    /// model file (as opposed to process-owned memory)?
+    /// Does the plane's matrix read out of a mapped model file (as
+    /// opposed to process-owned memory)?
     pub fn is_mapped(&self) -> bool {
-        self.matrix.is_mapped() || self.markov.as_ref().is_some_and(|m| m.matrix.is_mapped())
+        self.matrix.is_mapped()
     }
 
     /// The fused vector pass: one walk over the sparse vector fills every
-    /// lowered language's score into `out`. `ranked` is the caller's
-    /// reusable rank-order scratch (untouched unless the plane holds
-    /// rank lanes).
-    pub(crate) fn score_vectors(
-        &self,
-        vector: &SparseVector,
-        ranked: &mut Vec<(u32, f64)>,
-        out: &mut [Option<f64>; 5],
-    ) {
-        if self.stride == 0 {
-            return;
-        }
+    /// lowered language's score into `out`.
+    pub(crate) fn score_vectors(&self, vector: &SparseVector, out: &mut [Option<f64>; 5]) {
         let matrix = self.matrix.as_slice();
-        match &self.fast {
-            FastPath::Linear { defaults } => self.score_linear(matrix, defaults, vector, out),
-            FastPath::Entropy { defaults } => self.score_entropy(matrix, defaults, vector, out),
-            FastPath::General => self.score_general(matrix, vector, ranked, out),
+        match &self.kernel {
+            Kernel::None => {}
+            Kernel::Linear { defaults } => self.score_linear(matrix, defaults, vector, out),
+            Kernel::Entropy { defaults } => self.score_entropy(matrix, defaults, vector, out),
         }
     }
 
-    /// Uniform NB/ME fast path: per feature, one chunked
-    /// `acc[k] += x · row[k]` over the whole row — no per-language
-    /// dispatch, and a shape rustc autovectorizes (see
-    /// [`crate::lanes::axpy`]). Bit-identical to the general loop: each
-    /// lane is its own chain, NB lanes read the same in/out-of-range
-    /// weights, and ME lanes add `x · 0.0 = +0.0` where the interpreted
-    /// scorer skips (a bit-level no-op on an accumulator that is never
-    /// `-0.0`).
+    /// The linear kernel: per feature, one chunked `acc[k] += x · row[k]`
+    /// over the whole row — no per-language dispatch, and a shape rustc
+    /// autovectorizes (see [`crate::lanes::axpy`]). Bit-identical to the
+    /// interpreted scorers: each lane is its own chain, NB lanes read the
+    /// same in/out-of-range weights, and ME lanes add `x · 0.0 = +0.0`
+    /// where the interpreted scorer skips (a bit-level no-op on an
+    /// accumulator that is never `-0.0`).
     fn score_linear(
         &self,
         matrix: &[f64],
@@ -469,10 +338,10 @@ impl CompiledPlane {
     ) {
         let mut lane_acc = [0.0f64; 5];
         let mut needs_sum = false;
-        for plan in &self.plans {
-            match plan {
-                VectorPlan::NaiveBayes { offset, bias, .. } => lane_acc[*offset] = *bias,
-                VectorPlan::MaxEnt { .. } => needs_sum = true,
+        for (plan, &offset) in self.plans.iter().zip(&self.offsets) {
+            match *plan {
+                PlanMeta::NaiveBayes { bias, .. } => lane_acc[offset] = bias,
+                PlanMeta::MaxEnt { .. } => needs_sum = true,
                 _ => {}
             }
         }
@@ -487,25 +356,21 @@ impl CompiledPlane {
                 lanes::axpy(acc, x, defaults);
             }
         }
-        for (i, plan) in self.plans.iter().enumerate() {
-            match plan {
-                VectorPlan::NaiveBayes { offset, .. } => out[i] = Some(lane_acc[*offset]),
-                VectorPlan::MaxEnt {
-                    offset,
-                    slack_diff,
-                    c,
-                } => {
+        for (i, (plan, &offset)) in self.plans.iter().zip(&self.offsets).enumerate() {
+            match *plan {
+                PlanMeta::NaiveBayes { .. } => out[i] = Some(lane_acc[offset]),
+                PlanMeta::MaxEnt { slack_diff, c } => {
                     let slack = (c - sum).max(0.0);
-                    out[i] = Some(lane_acc[*offset] + slack_diff * slack);
+                    out[i] = Some(lane_acc[offset] + slack_diff * slack);
                 }
                 _ => {}
             }
         }
     }
 
-    /// Uniform Relative-Entropy fast path: the per-feature
-    /// `(q_pos, q_neg)` walk without plan dispatch. The `ln` calls
-    /// dominate, so this is about dropping the match, not SIMD.
+    /// The entropy kernel: the per-feature `(q_pos, q_neg)` walk, in the
+    /// interpreted scorer's order. The `ln` calls dominate, so this is
+    /// about dropping per-language dispatch, not SIMD.
     fn score_entropy(
         &self,
         matrix: &[f64],
@@ -534,311 +399,32 @@ impl CompiledPlane {
                 }
             }
         }
-        for (i, plan) in self.plans.iter().enumerate() {
-            if let VectorPlan::RelativeEntropy { offset, .. } = plan {
+        for (i, (plan, &offset)) in self.plans.iter().zip(&self.offsets).enumerate() {
+            if let PlanMeta::RelativeEntropy { .. } = plan {
                 out[i] = Some(if vector.is_empty() {
+                    // An empty URL gives no information; the
+                    // conservative high-precision RE behaviour.
                     -f64::MIN_POSITIVE
                 } else {
-                    d[*offset + 1] - d[*offset]
-                });
-            }
-        }
-    }
-
-    /// The general (heterogeneous-plan) vector pass.
-    fn score_general(
-        &self,
-        matrix: &[f64],
-        vector: &SparseVector,
-        ranked: &mut Vec<(u32, f64)>,
-        out: &mut [Option<f64>; 5],
-    ) {
-        // One accumulator chain per language, exactly as interpreted:
-        // NB starts from its prior, everything else from zero.
-        let mut acc = [0.0f64; 5];
-        let mut d_pos = [0.0f64; 5];
-        let mut d_neg = [0.0f64; 5];
-        let mut needs_norm = false;
-        let mut needs_sum = false;
-        let mut needs_rank = false;
-        for (i, plan) in self.plans.iter().enumerate() {
-            match plan {
-                VectorPlan::NaiveBayes { bias, .. } => acc[i] = *bias,
-                VectorPlan::MaxEnt { .. } => needs_sum = true,
-                VectorPlan::RelativeEntropy { .. } => needs_norm = true,
-                VectorPlan::RankOrder { .. } => needs_rank = true,
-                VectorPlan::None => {}
-            }
-        }
-        // Independent reductions in the same order the interpreted
-        // scorers run them (`SparseVector::l1_norm` / `sum`).
-        let norm = if needs_norm { vector.l1_norm() } else { 0.0 };
-        let sum = if needs_sum { vector.sum() } else { 0.0 };
-
-        for (j, x) in vector.iter() {
-            let start = j as usize * self.stride;
-            let row = if (j as usize) < self.dim {
-                Some(&matrix[start..start + self.stride])
-            } else {
-                None // out-of-range feature: per-plan defaults below
-            };
-            for (i, plan) in self.plans.iter().enumerate() {
-                match plan {
-                    VectorPlan::NaiveBayes {
-                        offset, default, ..
-                    } => {
-                        let w = row.map(|r| r[*offset]).unwrap_or(*default);
-                        acc[i] += x * w;
-                    }
-                    VectorPlan::MaxEnt { offset, .. } => {
-                        // Interpreted `dot_dense` skips out-of-range
-                        // indices entirely.
-                        if let Some(r) = row {
-                            acc[i] += x * r[*offset];
-                        }
-                    }
-                    VectorPlan::RelativeEntropy {
-                        offset,
-                        default_pos,
-                        default_neg,
-                    } => {
-                        let p = x / norm;
-                        if p > 0.0 {
-                            let (qp, qn) = match row {
-                                Some(r) => (r[*offset], r[*offset + 1]),
-                                None => (*default_pos, *default_neg),
-                            };
-                            d_pos[i] += p * (p / qp).ln();
-                            d_neg[i] += p * (p / qn).ln();
-                        }
-                    }
-                    VectorPlan::RankOrder { .. } | VectorPlan::None => {}
-                }
-            }
-        }
-
-        for (i, plan) in self.plans.iter().enumerate() {
-            match plan {
-                VectorPlan::NaiveBayes { .. } => out[i] = Some(acc[i]),
-                VectorPlan::MaxEnt { slack_diff, c, .. } => {
-                    let slack = (c - sum).max(0.0);
-                    out[i] = Some(acc[i] + slack_diff * slack);
-                }
-                VectorPlan::RelativeEntropy { .. } => {
-                    out[i] = Some(if vector.is_empty() {
-                        // An empty URL gives no information; the
-                        // conservative high-precision RE behaviour.
-                        -f64::MIN_POSITIVE
-                    } else {
-                        d_neg[i] - d_pos[i]
-                    });
-                }
-                VectorPlan::RankOrder { .. } | VectorPlan::None => {}
-            }
-        }
-
-        if needs_rank {
-            self.score_rank_order(matrix, vector, ranked, out);
-        }
-    }
-
-    /// The rank-order leg of the vector pass: rank the test features
-    /// once (they are shared by every rank-order language) and walk the
-    /// ranked list against the dense rank lanes. `ranked` is reused
-    /// scratch — a warm call allocates nothing.
-    fn score_rank_order(
-        &self,
-        matrix: &[f64],
-        vector: &SparseVector,
-        ranked: &mut Vec<(u32, f64)>,
-        out: &mut [Option<f64>; 5],
-    ) {
-        if vector.is_empty() {
-            for (i, plan) in self.plans.iter().enumerate() {
-                if let VectorPlan::RankOrder { .. } = plan {
-                    out[i] = Some(-1.0);
-                }
-            }
-            return;
-        }
-        // Exactly `RankOrder::rank_test`: descending value, ties by
-        // ascending feature index.
-        ranked.clear();
-        ranked.extend(vector.iter());
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut d_pos = [0.0f64; 5];
-        let mut d_neg = [0.0f64; 5];
-        for (test_rank, (j, _)) in ranked.iter().enumerate() {
-            let start = *j as usize * self.stride;
-            let row = if (*j as usize) < self.dim {
-                Some(&matrix[start..start + self.stride])
-            } else {
-                None
-            };
-            for (i, plan) in self.plans.iter().enumerate() {
-                if let VectorPlan::RankOrder {
-                    offset,
-                    max_penalty,
-                } = plan
-                {
-                    let (rp, rn) = match row {
-                        Some(r) => (r[*offset], r[*offset + 1]),
-                        None => (-1.0, -1.0),
-                    };
-                    let t = test_rank as f64;
-                    d_pos[i] += if rp >= 0.0 {
-                        (rp - t).abs()
-                    } else {
-                        *max_penalty as f64
-                    };
-                    d_neg[i] += if rn >= 0.0 {
-                        (rn - t).abs()
-                    } else {
-                        *max_penalty as f64
-                    };
-                }
-            }
-        }
-        for (i, plan) in self.plans.iter().enumerate() {
-            if let VectorPlan::RankOrder { .. } = plan {
-                out[i] = Some((d_neg[i] - d_pos[i]) / ranked.len() as f64);
-            }
-        }
-    }
-
-    /// The fused Markov pass: tokenize once, walk every token's padded
-    /// character windows once, and accumulate every Markov language's
-    /// log-likelihood ratio from the shared transition rows. The token
-    /// and character buffers come from the caller's scratch, so a warm
-    /// call allocates nothing.
-    pub(crate) fn score_markov(
-        &self,
-        url: &str,
-        scratch: &mut ExtractScratch,
-        out: &mut [Option<f64>; 5],
-    ) {
-        let Some(plane) = &self.markov else {
-            return;
-        };
-        if plane.stride == 0 {
-            return;
-        }
-        let ExtractScratch {
-            token: token_buf,
-            bytes: chars,
-            ..
-        } = scratch;
-        let mut ratios = [0.0f64; 5];
-        let mut transitions = 0usize;
-        plane.tokenizer.for_each_token(url, token_buf, |token| {
-            chars.clear();
-            chars.push(0);
-            chars.push(0);
-            chars.extend(token.chars().map(markov_encode));
-            chars.push(0);
-            // Per-token accumulators, mirroring the interpreted
-            // `token_log_likelihood` call pair per class.
-            let mut lp = [0.0f64; 5];
-            let mut ln = [0.0f64; 5];
-            let mut n = 0usize;
-            for w in chars.windows(3) {
-                let t = markov_transition_index(w[0], w[1], w[2]);
-                let row = &plane.matrix[t * plane.stride..(t + 1) * plane.stride];
-                for (i, lane) in plane.lanes.iter().enumerate() {
-                    if let Some(off) = lane {
-                        lp[i] += row[*off];
-                        ln[i] += row[*off + 1];
-                    }
-                }
-                n += 1;
-            }
-            for (i, lane) in plane.lanes.iter().enumerate() {
-                if lane.is_some() {
-                    ratios[i] += lp[i] - ln[i];
-                }
-            }
-            transitions += n;
-        });
-        for (i, lane) in plane.lanes.iter().enumerate() {
-            if lane.is_some() {
-                out[i] = Some(if transitions == 0 {
-                    -1.0
-                } else {
-                    ratios[i] / transitions as f64
+                    d[offset + 1] - d[offset]
                 });
             }
         }
     }
 }
 
-/// Detect a uniform-algorithm kernel for the vector pass (see
-/// [`FastPath`]). Rank-order lanes and hybrid plan mixes keep the
-/// general loop.
-fn detect_fast_path(plans: &[VectorPlan; 5], stride: usize) -> FastPath {
-    let mut any = false;
-    let mut linear = true;
-    let mut entropy = true;
-    for plan in plans {
-        match plan {
-            VectorPlan::None => {}
-            VectorPlan::NaiveBayes { .. } | VectorPlan::MaxEnt { .. } => {
-                any = true;
-                entropy = false;
-            }
-            VectorPlan::RelativeEntropy { .. } => {
-                any = true;
-                linear = false;
-            }
-            VectorPlan::RankOrder { .. } => {
-                any = true;
-                linear = false;
-                entropy = false;
-            }
-        }
-    }
-    if !any {
-        return FastPath::General;
-    }
-    let mut defaults = vec![0.0f64; stride];
-    for plan in plans {
-        match plan {
-            VectorPlan::NaiveBayes {
-                offset, default, ..
-            } => defaults[*offset] = *default,
-            VectorPlan::RelativeEntropy {
-                offset,
-                default_pos,
-                default_neg,
-            } => {
-                defaults[*offset] = *default_pos;
-                defaults[*offset + 1] = *default_neg;
-            }
-            _ => {}
-        }
-    }
-    if linear {
-        FastPath::Linear { defaults }
-    } else if entropy {
-        FastPath::Entropy { defaults }
-    } else {
-        FastPath::General
-    }
-}
-
 // ---------------------------------------------------------------------
-// `.urlm` (de)serialisation: the plane's dense matrices become raw
-// sections of the binary model format, and everything else — the lane
-// scalars below — becomes the JSON `PlaneMeta` in the format's META
-// section. Lane *offsets* are deliberately not persisted: they are a
-// pure function of the per-language plan kinds (assigned sequentially
-// in language order, exactly as `build` assigns them), so the loader
-// re-derives them instead of trusting the file.
+// `.urlm` (de)serialisation: the plane's dense matrix becomes a raw
+// section of the binary model format, and the plan scalars become the
+// JSON `PlaneMeta` in the format's META section. Lane *offsets* are
+// deliberately not persisted: they are a pure function of the plan
+// kinds, so the loader re-derives them instead of trusting the file.
 // ---------------------------------------------------------------------
 
-/// One language's participation in the fused vector pass, as persisted
-/// in a `.urlm` model's META section (the scalar half of
-/// [`CompiledPlane`]'s `VectorPlan`; offsets are re-derived at load).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// One language's participation in the fused vector pass: the scalar
+/// half of its lowering, as the plane runs it and as a `.urlm` model's
+/// META section persists it (lane offsets are re-derived at load).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub enum PlanMeta {
     /// Not lowered: the language scores through its boxed scorer.
     #[default]
@@ -864,27 +450,21 @@ pub enum PlanMeta {
         /// Clamped default for features beyond the lane length.
         default_neg: f64,
     },
-    /// Rank-order lane pair.
-    RankOrder {
-        /// Penalty for features missing from a profile.
-        max_penalty: usize,
-    },
 }
 
-/// The persisted form of the fused Markov plane's scalars (the dense
-/// transition matrix is a raw section).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MarkovMeta {
-    /// The tokenizer the fused Markov languages score through.
-    pub tokenizer: Tokenizer,
-    /// Lanes per transition row (2 × number of fused languages).
-    pub stride: usize,
-    /// Lane offset per language (`None` = not a fused Markov language).
-    pub lanes: [Option<usize>; 5],
+impl PlanMeta {
+    /// Lanes the plan occupies in each feature row.
+    fn lanes(&self) -> usize {
+        match self {
+            PlanMeta::None => 0,
+            PlanMeta::NaiveBayes { .. } | PlanMeta::MaxEnt { .. } => 1,
+            PlanMeta::RelativeEntropy { .. } => 2,
+        }
+    }
 }
 
 /// Everything a [`CompiledPlane`] is made of *except* its dense
-/// matrices: the JSON half of the `.urlm` format's plane encoding.
+/// matrix: the JSON half of the `.urlm` format's plane encoding.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PlaneMeta {
     /// Feature-space dimensionality (rows of the fused matrix).
@@ -893,144 +473,42 @@ pub struct PlaneMeta {
     pub stride: usize,
     /// Per-language plan scalars in canonical language order.
     pub plans: [PlanMeta; 5],
-    /// The fused Markov plane's scalars, when one exists.
-    pub markov: Option<MarkovMeta>,
 }
 
-/// The raw section payloads of a serialised plane, plus their META
-/// scalars — what [`CompiledPlane::serialize_into`] produces and the
-/// `.urlm` writer turns into checksummed, page-aligned sections.
+/// The serialised plane — what [`CompiledPlane::serialize_into`]
+/// produces and the `.urlm` writer turns into the META scalars and the
+/// checksummed, page-aligned MATRIX section.
 #[derive(Debug, Clone, Default)]
 pub struct PlanePayload {
     /// The JSON half (scalars); see [`PlaneMeta`].
     pub meta: PlaneMeta,
     /// The `f64` weight matrix, native-endian bytes.
     pub matrix: Vec<u8>,
-    /// The fused Markov transition tables (`f64`), empty when the plane
-    /// has no Markov half.
-    pub markov: Vec<u8>,
-}
-
-/// Validated slices of a mapped (or heap-fallback) `.urlm` file that
-/// [`CompiledPlane::from_bytes`] reconstructs a plane from — the safe
-/// view layer between raw file bytes and typed matrices.
-#[derive(Debug, Clone, Default)]
-pub struct PlaneViews {
-    /// The `f64` weight matrix.
-    pub matrix: Lane<f64>,
-    /// The fused Markov transition tables, if the META says one exists.
-    pub markov: Option<Lane<f64>>,
-}
-
-fn f64_section_bytes(values: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_ne_bytes());
-    }
-    out
-}
-
-/// Re-derive the runtime plans (with lane offsets) from persisted plan
-/// scalars — the same sequential assignment `build` performs.
-fn plans_from_meta(meta: &[PlanMeta; 5]) -> ([VectorPlan; 5], usize) {
-    let mut plans = [
-        VectorPlan::None,
-        VectorPlan::None,
-        VectorPlan::None,
-        VectorPlan::None,
-        VectorPlan::None,
-    ];
-    let mut offset = 0usize;
-    for (i, m) in meta.iter().enumerate() {
-        let plan = match *m {
-            PlanMeta::None => VectorPlan::None,
-            PlanMeta::NaiveBayes { bias, default } => VectorPlan::NaiveBayes {
-                offset,
-                bias,
-                default,
-            },
-            PlanMeta::MaxEnt { slack_diff, c } => VectorPlan::MaxEnt {
-                offset,
-                slack_diff,
-                c,
-            },
-            PlanMeta::RelativeEntropy {
-                default_pos,
-                default_neg,
-            } => VectorPlan::RelativeEntropy {
-                offset,
-                default_pos,
-                default_neg,
-            },
-            PlanMeta::RankOrder { max_penalty } => VectorPlan::RankOrder {
-                offset,
-                max_penalty,
-            },
-        };
-        offset += plan.lanes();
-        plans[i] = plan;
-    }
-    (plans, offset)
 }
 
 impl CompiledPlane {
     /// Serialise the plane for packing into a `.urlm` file: scalars
-    /// into `out.meta`, dense matrices into raw native-endian byte
-    /// sections.
+    /// into `out.meta`, the matrix into raw native-endian bytes.
     pub fn serialize_into(&self, out: &mut PlanePayload) {
-        let mut plans = [
-            PlanMeta::None,
-            PlanMeta::None,
-            PlanMeta::None,
-            PlanMeta::None,
-            PlanMeta::None,
-        ];
-        for (i, plan) in self.plans.iter().enumerate() {
-            plans[i] = match *plan {
-                VectorPlan::None => PlanMeta::None,
-                VectorPlan::NaiveBayes { bias, default, .. } => {
-                    PlanMeta::NaiveBayes { bias, default }
-                }
-                VectorPlan::MaxEnt { slack_diff, c, .. } => PlanMeta::MaxEnt { slack_diff, c },
-                VectorPlan::RelativeEntropy {
-                    default_pos,
-                    default_neg,
-                    ..
-                } => PlanMeta::RelativeEntropy {
-                    default_pos,
-                    default_neg,
-                },
-                VectorPlan::RankOrder { max_penalty, .. } => PlanMeta::RankOrder { max_penalty },
-            };
-        }
         out.meta = PlaneMeta {
             dim: self.dim,
             stride: self.stride,
-            plans,
-            markov: self.markov.as_ref().map(|m| MarkovMeta {
-                tokenizer: m.tokenizer.clone(),
-                stride: m.stride,
-                lanes: m.lanes,
-            }),
+            plans: self.plans,
         };
-        out.matrix = f64_section_bytes(&self.matrix);
-        out.markov = match &self.markov {
-            Some(m) => f64_section_bytes(&m.matrix),
-            None => Vec::new(),
-        };
+        out.matrix = self.matrix.iter().flat_map(|v| v.to_ne_bytes()).collect();
     }
 
-    /// Reconstruct a plane from the validated views of a `.urlm` file —
-    /// the mmap-and-serve load path. No recompilation happens: the
-    /// matrices are used as stored (typically views into the mapped
-    /// file), lane offsets and the fast-path kernel are re-derived from
-    /// the plan kinds, and every cross-section size relation is checked
-    /// so a structurally corrupt file fails closed here rather than
-    /// panicking in the score hot path.
+    /// Reconstruct a plane from a `.urlm` file's META scalars and its
+    /// validated MATRIX view — the mmap-and-serve load path. No
+    /// recompilation happens: the matrix is used as stored (typically a
+    /// view into the mapped file), lane offsets and the kernel are
+    /// re-derived from the plan kinds, and every size relation is
+    /// checked so a structurally corrupt file fails closed here rather
+    /// than panicking in the score hot path.
     pub fn from_bytes(
         transform: Option<CompiledTransform>,
         meta: PlaneMeta,
-        views: PlaneViews,
+        matrix: Lane<f64>,
     ) -> Result<CompiledPlane, String> {
         if let Some(t) = &transform {
             if t.dim() != meta.dim {
@@ -1041,7 +519,7 @@ impl CompiledPlane {
                 ));
             }
         }
-        let (plans, stride) = plans_from_meta(&meta.plans);
+        let (offsets, stride) = lane_offsets(&meta.plans);
         if stride != meta.stride {
             return Err(format!(
                 "declared stride {} does not match the {} lanes of the plans",
@@ -1052,72 +530,31 @@ impl CompiledPlane {
             .dim
             .checked_mul(stride)
             .ok_or_else(|| "matrix size overflows".to_string())?;
-        if views.matrix.len() != expected {
+        if matrix.len() != expected {
             return Err(format!(
                 "matrix section holds {} weights, expected dim {} × stride {} = {}",
-                views.matrix.len(),
+                matrix.len(),
                 meta.dim,
                 stride,
                 expected
             ));
         }
-        let markov = match (meta.markov, views.markov) {
-            (None, None) => None,
-            (None, Some(_)) => {
-                return Err("markov section present but META declares none".to_string())
-            }
-            (Some(_), None) => {
-                return Err("META declares a markov plane but the section is missing".to_string())
-            }
-            (Some(mm), Some(matrix)) => {
-                // Lane offsets are assigned sequentially (0, 2, 4, …) in
-                // language order by `build`; require exactly that.
-                let mut next = 0usize;
-                for lane in mm.lanes.iter().flatten() {
-                    if *lane != next {
-                        return Err(format!(
-                            "markov lane offset {lane} out of sequential order (expected {next})"
-                        ));
-                    }
-                    next += 2;
-                }
-                if next != mm.stride {
-                    return Err(format!(
-                        "markov stride {} does not match the {} lanes declared",
-                        mm.stride, next
-                    ));
-                }
-                if matrix.len() != MARKOV_TRANSITIONS * mm.stride {
-                    return Err(format!(
-                        "markov section holds {} entries, expected {} × {}",
-                        matrix.len(),
-                        MARKOV_TRANSITIONS,
-                        mm.stride
-                    ));
-                }
-                Some(MarkovPlane {
-                    tokenizer: mm.tokenizer,
-                    stride: mm.stride,
-                    matrix,
-                    lanes: mm.lanes,
-                })
-            }
-        };
-        let fast = detect_fast_path(&plans, stride);
+        let kernel = Kernel::of(&meta.plans, &offsets, stride)?;
         Ok(CompiledPlane {
             transform,
             dim: meta.dim,
             stride,
-            matrix: views.matrix,
-            plans,
-            fast,
-            markov,
+            matrix,
+            plans: meta.plans,
+            offsets,
+            kernel,
         })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{CompiledPlane, PlanMeta, PlaneMeta, PlanePayload};
     use crate::markov::{MarkovClassifier, MarkovConfig};
     use crate::maxent::{MaxEnt, MaxEntConfig};
     use crate::model::VectorClassifier;
@@ -1259,14 +696,25 @@ mod tests {
         assert_compiled_matches_interpreted(&mut set);
     }
 
-    #[test]
-    fn rank_order_plane_is_bit_identical() {
+    /// A rank-order set: vector scorers that do not lower.
+    fn rank_order_set() -> LanguageClassifierSet {
         let (extractor, per_lang) = fitted();
-        let mut set = LanguageClassifierSet::build_vector(extractor, |lang| {
+        LanguageClassifierSet::build_vector(extractor, |lang| {
             let (pos, neg) = &per_lang[lang.index()];
             Box::new(RankOrder::train(pos, neg, RankOrderConfig::default()))
-        });
+        })
+    }
+
+    #[test]
+    fn rank_order_plane_is_bit_identical() {
+        let mut set = rank_order_set();
         assert_compiled_matches_interpreted(&mut set);
+        let plane = set.plane().unwrap();
+        assert_eq!(plane.stride(), 0, "rank-order stays interpreted");
+        assert!(
+            plane.transform().is_some(),
+            "but extracts through the plane"
+        );
     }
 
     #[test]
@@ -1286,10 +734,12 @@ mod tests {
             Box::new(MarkovClassifier::train(&pos, &neg, MarkovConfig::default()))
         });
         assert_compiled_matches_interpreted(&mut set);
+        assert_eq!(set.plane().unwrap().stride(), 0, "Markov stays interpreted");
     }
 
-    /// Non-lowerable scorers fall back to interpreted inside a compiled
-    /// set and heterogeneous planes stay consistent.
+    /// Non-lowerable scorers, and a language whose algorithm needs the
+    /// kernel the plane did not pick, fall back to interpreted inside a
+    /// compiled set.
     #[test]
     fn mixed_plane_with_fallback_scorers_matches_interpreted() {
         struct Threshold(f64);
@@ -1322,6 +772,15 @@ mod tests {
             Box::new(crate::cctld::CcTldClassifier::cctld(Language::Italian)),
         );
         assert_compiled_matches_interpreted(&mut set);
+        // German (the first language that lowers) picks the linear
+        // kernel, so French's RE lane pair stays interpreted.
+        let plane = set.plane().unwrap();
+        assert!(matches!(
+            plane.plans[Language::German.index()],
+            PlanMeta::NaiveBayes { .. }
+        ));
+        assert_eq!(plane.plans[Language::French.index()], PlanMeta::None);
+        assert_eq!(plane.stride(), 1);
     }
 
     #[test]
@@ -1355,35 +814,15 @@ mod tests {
         assert_eq!(set.classify_all("http://a.de/"), [false; 5]);
     }
 
-    use super::{PlanePayload, PlaneViews};
-    use std::sync::Arc as StdArc;
     use urlid_mapped::{Lane, Mapping};
 
-    /// Serialise `set`'s plane and rebuild it through mapped views —
-    /// the in-memory equivalent of a `.urlm` pack/load cycle.
-    fn round_trip_plane(set: &LanguageClassifierSet) -> super::CompiledPlane {
-        let plane = set.plane().expect("set is compiled");
-        let mut payload = PlanePayload::default();
-        plane.serialize_into(&mut payload);
-        // META scalars go through JSON exactly as the `.urlm` format
-        // stores them.
-        let meta: super::PlaneMeta =
-            serde_json::from_str(&serde_json::to_string(&payload.meta).unwrap()).unwrap();
-        let matrix_map = StdArc::new(Mapping::from_bytes(&payload.matrix));
-        let markov_map = StdArc::new(Mapping::from_bytes(&payload.markov));
-        let views = PlaneViews {
-            matrix: Lane::view(&matrix_map, 0, payload.matrix.len()).unwrap(),
-            markov: meta
-                .markov
-                .is_some()
-                .then(|| Lane::view(&markov_map, 0, payload.markov.len()).unwrap()),
-        };
-        super::CompiledPlane::from_bytes(plane.transform().cloned(), meta, views)
-            .expect("round trip must validate")
+    /// A mapped view of a serialised matrix, as a `.urlm` load hands it
+    /// to [`CompiledPlane::from_bytes`].
+    fn mapped(matrix: &[u8]) -> Lane<f64> {
+        Lane::view(&Arc::new(Mapping::from_bytes(matrix)), 0, matrix.len()).unwrap()
     }
 
-    #[test]
-    fn serialized_plane_round_trips_bit_identically() {
+    fn nb_set() -> LanguageClassifierSet {
         let (extractor, per_lang) = fitted();
         let dim = extractor.dim();
         let mut set = LanguageClassifierSet::build_vector(extractor, |lang| {
@@ -1391,6 +830,33 @@ mod tests {
             Box::new(NaiveBayes::train(pos, neg, NaiveBayesConfig::for_dim(dim)))
         });
         set.compile();
+        set
+    }
+
+    fn payload_of(set: &LanguageClassifierSet) -> PlanePayload {
+        let mut payload = PlanePayload::default();
+        set.plane()
+            .expect("set is compiled")
+            .serialize_into(&mut payload);
+        payload
+    }
+
+    /// Serialise `set`'s plane and rebuild it through a mapped view —
+    /// the in-memory equivalent of a `.urlm` pack/load cycle.
+    fn round_trip_plane(set: &LanguageClassifierSet) -> CompiledPlane {
+        let payload = payload_of(set);
+        // META scalars go through JSON exactly as the `.urlm` format
+        // stores them.
+        let meta: PlaneMeta =
+            serde_json::from_str(&serde_json::to_string(&payload.meta).unwrap()).unwrap();
+        let transform = set.plane().unwrap().transform().cloned();
+        CompiledPlane::from_bytes(transform, meta, mapped(&payload.matrix))
+            .expect("round trip must validate")
+    }
+
+    #[test]
+    fn serialized_plane_round_trips_bit_identically() {
+        let mut set = nb_set();
         let before: Vec<_> = probe_urls().iter().map(|u| set.score_all(u)).collect();
         let rebuilt = round_trip_plane(&set);
         set.install_plane(rebuilt);
@@ -1399,24 +865,13 @@ mod tests {
     }
 
     #[test]
-    fn markov_plane_round_trips_through_the_binary_payload() {
-        let data = training();
-        let mut set = LanguageClassifierSet::build(|lang| {
-            let pos: Vec<String> = data
-                .iter()
-                .filter(|u| u.language == lang)
-                .map(|u| u.url.clone())
-                .collect();
-            let neg: Vec<String> = data
-                .iter()
-                .filter(|u| u.language != lang)
-                .map(|u| u.url.clone())
-                .collect();
-            Box::new(MarkovClassifier::train(&pos, &neg, MarkovConfig::default()))
-        });
+    fn extraction_only_plane_round_trips_through_the_binary_payload() {
+        let mut set = rank_order_set();
         set.compile();
         let before: Vec<_> = probe_urls().iter().map(|u| set.score_all(u)).collect();
         let rebuilt = round_trip_plane(&set);
+        assert_eq!(rebuilt.stride(), 0);
+        assert_eq!(rebuilt.dim(), set.plane().unwrap().dim());
         set.install_plane(rebuilt);
         let after: Vec<_> = probe_urls().iter().map(|u| set.score_all(u)).collect();
         assert_eq!(before, after);
@@ -1424,29 +879,17 @@ mod tests {
 
     #[test]
     fn from_bytes_rejects_structural_corruption() {
-        let (extractor, per_lang) = fitted();
-        let dim = extractor.dim();
-        let mut set = LanguageClassifierSet::build_vector(extractor, |lang| {
-            let (pos, neg) = &per_lang[lang.index()];
-            Box::new(NaiveBayes::train(pos, neg, NaiveBayesConfig::for_dim(dim)))
-        });
-        set.compile();
-        let plane = set.plane().unwrap();
-        let mut payload = PlanePayload::default();
-        plane.serialize_into(&mut payload);
-        let views = |matrix: &[u8]| {
-            let m = StdArc::new(Mapping::from_bytes(matrix));
-            PlaneViews {
-                matrix: Lane::view(&m, 0, matrix.len()).unwrap(),
-                markov: None,
-            }
+        let set = nb_set();
+        let payload = payload_of(&set);
+        let load = |meta: PlaneMeta, matrix: &[u8]| {
+            let transform = set.plane().unwrap().transform().cloned();
+            CompiledPlane::from_bytes(transform, meta, mapped(matrix))
         };
 
         // Truncated matrix section.
-        let err = super::CompiledPlane::from_bytes(
-            plane.transform().cloned(),
+        let err = load(
             payload.meta.clone(),
-            views(&payload.matrix[..payload.matrix.len() - 8]),
+            &payload.matrix[..payload.matrix.len() - 8],
         )
         .unwrap_err();
         assert!(err.contains("matrix section"), "{err}");
@@ -1454,27 +897,43 @@ mod tests {
         // Declared stride disagreeing with the plans.
         let mut meta = payload.meta.clone();
         meta.stride += 1;
-        let err = super::CompiledPlane::from_bytes(
-            plane.transform().cloned(),
-            meta,
-            views(&payload.matrix),
-        )
-        .unwrap_err();
+        let err = load(meta, &payload.matrix).unwrap_err();
         assert!(err.contains("stride"), "{err}");
 
-        // META claiming a markov plane with no section behind it.
+        // NB and RE plans in one plane: sizes agree, kernels do not.
         let mut meta = payload.meta.clone();
-        meta.markov = Some(super::MarkovMeta {
-            tokenizer: urlid_tokenize::Tokenizer::default(),
-            stride: 2,
-            lanes: [Some(0), None, None, None, None],
-        });
-        let err = super::CompiledPlane::from_bytes(
-            plane.transform().cloned(),
-            meta,
-            views(&payload.matrix),
-        )
-        .unwrap_err();
-        assert!(err.contains("markov"), "{err}");
+        meta.plans[Language::French.index()] = PlanMeta::RelativeEntropy {
+            default_pos: 0.5,
+            default_neg: 0.5,
+        };
+        meta.stride += 1;
+        let matrix = vec![0u8; meta.dim * meta.stride * 8];
+        let err = load(meta, &matrix).unwrap_err();
+        assert!(err.contains("linear") && err.contains("entropy"), "{err}");
+
+        // A META naming a plan kind the plane no longer lowers is a
+        // deserialisation error, not a panic.
+        let json = r#"{"dim":3,"stride":2,"plans":[{"RankOrder":{"max_penalty":300}},"None","None","None","None"]}"#;
+        let err = serde_json::from_str::<PlaneMeta>(json).unwrap_err();
+        assert!(err.to_string().contains("RankOrder"), "{err}");
+    }
+
+    /// Files packed while the plane still had a Markov half carry
+    /// `"markov":null` in their plane META; they still load.
+    #[test]
+    fn plane_meta_with_the_retired_markov_field_still_loads() {
+        let mut set = nb_set();
+        let payload = payload_of(&set);
+        let json = serde_json::to_string(&payload.meta).unwrap();
+        let old = format!("{},\"markov\":null}}", json.strip_suffix('}').unwrap());
+        let meta: PlaneMeta = serde_json::from_str(&old).unwrap();
+        assert_eq!(meta, payload.meta);
+        let before: Vec<_> = probe_urls().iter().map(|u| set.score_all(u)).collect();
+        let transform = set.plane().unwrap().transform().cloned();
+        set.install_plane(
+            CompiledPlane::from_bytes(transform, meta, mapped(&payload.matrix)).unwrap(),
+        );
+        let after: Vec<_> = probe_urls().iter().map(|u| set.score_all(u)).collect();
+        assert_eq!(before, after);
     }
 }

@@ -1,20 +1,16 @@
 //! Fixed-width chunked accumulation kernels for the compiled plane.
 //!
-//! The compiled plane's hot loop is "accumulate one weight row into one
-//! accumulator row" (`acc[k] += x * row[k]`) and the sharded MaxEnt
+//! The compiled plane's linear kernel is "accumulate one weight row into
+//! one accumulator row" (`acc[k] += x * row[k]`) and the sharded MaxEnt
 //! reduce is "fold one partial into one total" (`acc[k] += row[k]`).
 //! Both are embarrassingly lane-parallel: every `k` is its own
 //! independent IEEE chain, so processing the slices in fixed-width
-//! chunks — or with explicit SIMD — performs **bit-identical**
-//! arithmetic to the scalar loop, in any order. The kernels here
-//! exploit that:
+//! chunks performs **bit-identical** arithmetic to the scalar loop, in
+//! any order. The kernels here exploit that:
 //!
-//! * the default (stable-Rust) build walks `chunks_exact(LANES)` with a
-//!   fixed-count inner loop over `[f64; LANES]` arrays, the shape rustc
-//!   reliably unrolls and autovectorizes;
-//! * with the nightly-only `simd` cargo feature the same chunks go
-//!   through `std::simd` vectors (element-wise mul + add, no FMA
-//!   contraction, so still the exact scalar results);
+//! * they walk `chunks_exact(LANES)` with a fixed-count inner loop over
+//!   `[f64; LANES]` arrays, the shape rustc reliably unrolls and
+//!   autovectorizes on stable Rust;
 //! * the remainder (lengths not divisible by `LANES` — vocabulary
 //!   dimensions and lane strides rarely are) runs the scalar tail.
 //!
@@ -27,7 +23,7 @@
 pub const LANES: usize = 4;
 
 /// Scalar reference kernel: `acc[k] += x * row[k]` for every lane `k`.
-/// The chunked/SIMD [`axpy`] must match this bitwise (proptested below).
+/// The chunked [`axpy`] must match this bitwise (proptested below).
 #[inline]
 pub fn axpy_scalar(acc: &mut [f64], x: f64, row: &[f64]) {
     debug_assert_eq!(acc.len(), row.len());
@@ -38,7 +34,6 @@ pub fn axpy_scalar(acc: &mut [f64], x: f64, row: &[f64]) {
 
 /// Chunked `acc[k] += x * row[k]`: fixed-width `[f64; LANES]` chunks
 /// with a scalar tail, bit-identical to [`axpy_scalar`].
-#[cfg(not(feature = "simd"))]
 #[inline]
 pub fn axpy(acc: &mut [f64], x: f64, row: &[f64]) {
     debug_assert_eq!(acc.len(), row.len());
@@ -50,29 +45,6 @@ pub fn axpy(acc: &mut [f64], x: f64, row: &[f64]) {
         for k in 0..LANES {
             a[k] += x * w[k];
         }
-    }
-    for (a, w) in acc_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(row_chunks.remainder())
-    {
-        *a += x * w;
-    }
-}
-
-/// `std::simd` variant of [`axpy`]: element-wise multiply and add (no
-/// FMA contraction), so every lane still runs the exact scalar chain.
-#[cfg(feature = "simd")]
-#[inline]
-pub fn axpy(acc: &mut [f64], x: f64, row: &[f64]) {
-    use std::simd::Simd;
-    debug_assert_eq!(acc.len(), row.len());
-    let xs = Simd::<f64, LANES>::splat(x);
-    let mut acc_chunks = acc.chunks_exact_mut(LANES);
-    let mut row_chunks = row.chunks_exact(LANES);
-    for (a, w) in acc_chunks.by_ref().zip(row_chunks.by_ref()) {
-        let av = Simd::<f64, LANES>::from_slice(a) + xs * Simd::<f64, LANES>::from_slice(w);
-        a.copy_from_slice(av.as_array());
     }
     for (a, w) in acc_chunks
         .into_remainder()
@@ -96,7 +68,6 @@ pub fn add_assign_scalar(acc: &mut [f64], addend: &[f64]) {
 /// Chunked `acc[k] += addend[k]`, bit-identical to
 /// [`add_assign_scalar`]. Used to fold MaxEnt expectation partials over
 /// vocabulary-sized vectors (whose lengths are rarely `LANES`-aligned).
-#[cfg(not(feature = "simd"))]
 #[inline]
 pub fn add_assign(acc: &mut [f64], addend: &[f64]) {
     debug_assert_eq!(acc.len(), addend.len());
@@ -108,27 +79,6 @@ pub fn add_assign(acc: &mut [f64], addend: &[f64]) {
         for k in 0..LANES {
             a[k] += b[k];
         }
-    }
-    for (a, b) in acc_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(add_chunks.remainder())
-    {
-        *a += b;
-    }
-}
-
-/// `std::simd` variant of [`add_assign`].
-#[cfg(feature = "simd")]
-#[inline]
-pub fn add_assign(acc: &mut [f64], addend: &[f64]) {
-    use std::simd::Simd;
-    debug_assert_eq!(acc.len(), addend.len());
-    let mut acc_chunks = acc.chunks_exact_mut(LANES);
-    let mut add_chunks = addend.chunks_exact(LANES);
-    for (a, b) in acc_chunks.by_ref().zip(add_chunks.by_ref()) {
-        let av = Simd::<f64, LANES>::from_slice(a) + Simd::<f64, LANES>::from_slice(b);
-        a.copy_from_slice(av.as_array());
     }
     for (a, b) in acc_chunks
         .into_remainder()

@@ -29,7 +29,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
 pub mod cctld;
 pub mod codec;
@@ -52,10 +51,7 @@ pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use combine::{
     CombinationStrategy, CombinedClassifier, CombinedHybridClassifier, CombinedVectorClassifier,
 };
-pub use compile::{
-    CompileScorer, CompiledPlane, Lowering, MarkovMeta, PlanMeta, PlaneMeta, PlanePayload,
-    PlaneViews,
-};
+pub use compile::{CompileScorer, CompiledPlane, Lowering, PlanMeta, PlaneMeta, PlanePayload};
 pub use decision_tree::{DecisionTree, DecisionTreeConfig};
 pub use knn::{KNearestNeighbors, KnnConfig};
 pub use markov::{MarkovClassifier, MarkovConfig};

@@ -17,7 +17,6 @@
 //! character models (an order-2 model, i.e. trigram transition
 //! probabilities with Laplace smoothing).
 
-use crate::compile::{CompileScorer, Lowering};
 use crate::model::UrlClassifier;
 use serde::Serialize;
 use urlid_tokenize::Tokenizer;
@@ -27,21 +26,6 @@ const ALPHABET_SIZE: usize = 27;
 
 /// Number of two-character contexts of the order-2 model.
 const NUM_CONTEXTS: usize = ALPHABET_SIZE * ALPHABET_SIZE;
-
-/// Number of `(context, next)` transitions — the row count of the
-/// compiled plane's fused Markov matrix.
-pub(crate) const MARKOV_TRANSITIONS: usize = NUM_CONTEXTS * ALPHABET_SIZE;
-
-/// Encode one character into the model alphabet (shared with the
-/// compiled plane, which must walk exactly the same windows).
-pub(crate) fn markov_encode(c: char) -> u8 {
-    encode(c)
-}
-
-/// Dense index of the `(a, b) → next` transition.
-pub(crate) fn markov_transition_index(a: u8, b: u8, next: u8) -> usize {
-    context_key(a, b) * ALPHABET_SIZE + next as usize
-}
 
 /// Configuration for the character Markov model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -205,35 +189,6 @@ impl UrlClassifier for MarkovClassifier {
 
     fn score_url(&self, url: &str) -> f64 {
         self.log_likelihood_ratio(url)
-    }
-
-    fn as_compile(&self) -> Option<&dyn CompileScorer> {
-        Some(self)
-    }
-}
-
-impl CompileScorer for MarkovClassifier {
-    /// Precompute every smoothed `log P(next | context)` into dense
-    /// per-transition tables: the interpreted path recomputes the
-    /// divide-and-log per lookup, the compiled plane reads one `f64` per
-    /// class per transition. The logs are pure functions of the stored
-    /// counts and α, so the values are bit-identical.
-    fn lower(&self, _dim: usize) -> Lowering {
-        let table = |model: &CharModel| -> Vec<f64> {
-            let mut out = vec![0.0f64; MARKOV_TRANSITIONS];
-            for context in 0..NUM_CONTEXTS {
-                for next in 0..ALPHABET_SIZE {
-                    out[context * ALPHABET_SIZE + next] =
-                        model.log_prob(context, next as u8, self.config.alpha);
-                }
-            }
-            out
-        };
-        Lowering::Markov {
-            log_pos: table(&self.positive),
-            log_neg: table(&self.negative),
-            tokenizer: self.tokenizer.clone(),
-        }
     }
 }
 

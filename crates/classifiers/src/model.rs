@@ -79,10 +79,10 @@ pub trait VectorClassifier: Send + Sync {
         self.score(features) > 0.0
     }
 
-    /// The compiled-plane hook: algorithms that lower into the fused
-    /// dense-weight plane (see [`crate::compile`]) return themselves.
-    /// The default — models that cannot be expressed as dense
-    /// per-feature data, such as decision trees or k-NN — keeps the
+    /// The compiled-plane hook: the algorithms that lower into the fused
+    /// dense-weight plane (NB, RE, ME; see [`crate::compile`]) return
+    /// themselves. The default — decision trees, k-NN, rank-order and
+    /// every other model that is not dense per-feature data — keeps the
     /// scorer interpreted inside a compiled set.
     fn as_compile(&self) -> Option<&dyn CompileScorer> {
         None
@@ -128,14 +128,6 @@ pub trait UrlClassifier: Send + Sync {
             -1.0
         }
     }
-
-    /// The compiled-plane hook, as for
-    /// [`VectorClassifier::as_compile`]: only the character Markov
-    /// model lowers among the URL-level classifiers (the ccTLD
-    /// baselines are already a single table probe).
-    fn as_compile(&self) -> Option<&dyn CompileScorer> {
-        None
-    }
 }
 
 impl<T: UrlClassifier + ?Sized> UrlClassifier for Arc<T> {
@@ -145,9 +137,6 @@ impl<T: UrlClassifier + ?Sized> UrlClassifier for Arc<T> {
     fn score_url(&self, url: &str) -> f64 {
         (**self).score_url(url)
     }
-    fn as_compile(&self) -> Option<&dyn CompileScorer> {
-        (**self).as_compile()
-    }
 }
 
 impl<T: UrlClassifier + ?Sized> UrlClassifier for Box<T> {
@@ -156,9 +145,6 @@ impl<T: UrlClassifier + ?Sized> UrlClassifier for Box<T> {
     }
     fn score_url(&self, url: &str) -> f64 {
         (**self).score_url(url)
-    }
-    fn as_compile(&self) -> Option<&dyn CompileScorer> {
-        (**self).as_compile()
     }
 }
 

@@ -15,7 +15,6 @@
 //! missing from the class profile incur the maximum penalty. The document
 //! is assigned to the class with the smaller total displacement.
 
-use crate::compile::{CompileScorer, Lowering};
 use crate::model::VectorClassifier;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -138,33 +137,6 @@ impl VectorClassifier for RankOrder {
         // by the number of test features so scores are comparable across
         // URLs of different lengths.
         (d_neg - d_pos) / ranked.len() as f64
-    }
-
-    fn as_compile(&self) -> Option<&dyn CompileScorer> {
-        Some(self)
-    }
-}
-
-impl CompileScorer for RankOrder {
-    /// The profiles become dense per-feature rank lanes (−1.0 marks a
-    /// feature outside the profile, incurring the out-of-place maximum
-    /// penalty). Ranks are small integers, so the `f64` encoding — and
-    /// the fused pass's float subtraction — is exact.
-    fn lower(&self, dim: usize) -> Lowering {
-        let dense = |profile: &Profile| -> Vec<f64> {
-            let mut ranks = vec![-1.0f64; dim];
-            for (&feature, &rank) in &profile.ranks {
-                if (feature as usize) < dim {
-                    ranks[feature as usize] = rank as f64;
-                }
-            }
-            ranks
-        };
-        Lowering::RankOrder {
-            rank_pos: dense(&self.positive),
-            rank_neg: dense(&self.negative),
-            max_penalty: self.config.profile_size,
-        }
     }
 }
 

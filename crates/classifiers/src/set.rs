@@ -35,8 +35,8 @@ use urlid_lexicon::{Language, ALL_LANGUAGES};
 pub struct ScoreSplit {
     /// Nanoseconds spent extracting features into the sparse vector.
     pub extract_nanos: u64,
-    /// Nanoseconds spent scoring (fused plane passes, the Markov
-    /// re-walk, and any boxed fallbacks).
+    /// Nanoseconds spent scoring (the plane's fused pass and any boxed
+    /// fallbacks).
     pub score_nanos: u64,
 }
 
@@ -65,7 +65,7 @@ pub enum LanguageScorer {
 ///
 /// A set can additionally carry a **compiled scoring plane**
 /// ([`LanguageClassifierSet::compile`]): the vocabularies interned into
-/// byte arenas and every lowerable model's weights fused into one
+/// byte arenas and the NB/ME or RE models' weights fused into one
 /// language-major dense matrix (see [`crate::compile`]). When present,
 /// all scoring entry points route through it — with scores bit-identical
 /// to the interpreted path, which stays available as the
@@ -158,12 +158,15 @@ impl LanguageClassifierSet {
     }
 
     /// Build the compiled scoring plane (see [`crate::compile`]): intern
-    /// the shared vocabulary into a byte arena and fuse every lowerable
-    /// model's weights into one language-major dense matrix. All scoring
-    /// entry points route through the plane afterwards, with scores
-    /// bit-identical to the interpreted path. Scorers that cannot lower
-    /// (decision trees, k-NN, combinations, ad-hoc classifiers) keep
-    /// being scored through their trait objects inside the plane.
+    /// the shared vocabulary into a byte arena and fuse the lowered
+    /// models' weights into one language-major dense matrix, run by the
+    /// linear (NB/ME) or entropy (RE) kernel that the first lowering
+    /// language picks. All scoring entry points route through the plane
+    /// afterwards, with scores bit-identical to the interpreted path.
+    /// Every other scorer (decision trees, k-NN, rank-order, Markov,
+    /// combinations, ad-hoc classifiers, a language needing the other
+    /// kernel) keeps being scored through its trait object inside the
+    /// plane.
     ///
     /// Inserting or replacing any classifier discards the plane;
     /// call `compile` again afterwards.
@@ -350,9 +353,8 @@ impl LanguageClassifierSet {
     }
 
     /// The compiled scoring path: extract once through the interned
-    /// vocabulary, run the fused vector and Markov passes, then score
-    /// the remaining (non-lowered) languages through their boxed
-    /// scorers.
+    /// vocabulary, run the fused pass, then score the remaining
+    /// (non-lowered) languages through their boxed scorers.
     fn score_all_compiled(
         &self,
         plane: &CompiledPlane,
@@ -360,27 +362,25 @@ impl LanguageClassifierSet {
         scratch: &mut ExtractScratch,
     ) -> [Option<f64>; 5] {
         let vector = self.extract_compiled(plane, url, scratch);
-        let out = self.score_compiled_from_vector(plane, url, vector.as_ref(), scratch);
+        let out = self.score_compiled_from_vector(plane, url, vector.as_ref());
         Self::return_vector(scratch, vector);
         out
     }
 
     /// The compiled scoring passes over an already-extracted vector:
-    /// fused vector pass, Markov pass, then boxed fallbacks. Shared by
-    /// the plain and stage-timed entry points so both run the identical
-    /// float operations.
+    /// the fused pass, then boxed fallbacks. Shared by the plain and
+    /// stage-timed entry points so both run the identical float
+    /// operations.
     fn score_compiled_from_vector(
         &self,
         plane: &CompiledPlane,
         url: &str,
         vector: Option<&SparseVector>,
-        scratch: &mut ExtractScratch,
     ) -> [Option<f64>; 5] {
         let mut out = [None; 5];
         if let Some(vector) = vector {
-            plane.score_vectors(vector, &mut scratch.ranked, &mut out);
+            plane.score_vectors(vector, &mut out);
         }
-        plane.score_markov(url, scratch, &mut out);
         for (i, scorer) in self.scorers.iter().enumerate() {
             if out[i].is_none() {
                 if let Some(scorer) = scorer {
@@ -415,7 +415,7 @@ impl LanguageClassifierSet {
             Some(plane) => {
                 let vector = self.extract_compiled(plane, url, scratch);
                 let t1 = std::time::Instant::now();
-                let out = self.score_compiled_from_vector(plane, url, vector.as_ref(), scratch);
+                let out = self.score_compiled_from_vector(plane, url, vector.as_ref());
                 let split = ScoreSplit {
                     extract_nanos: duration_nanos(t1.duration_since(t0)),
                     score_nanos: duration_nanos(t1.elapsed()),
@@ -488,9 +488,8 @@ impl LanguageClassifierSet {
         let vector = self.extract_compiled(plane, url, scratch);
         let mut scores = [None; 5];
         if let Some(vector) = &vector {
-            plane.score_vectors(vector, &mut scratch.ranked, &mut scores);
+            plane.score_vectors(vector, &mut scores);
         }
-        plane.score_markov(url, scratch, &mut scores);
         let mut out = [false; 5];
         for (i, scorer) in self.scorers.iter().enumerate() {
             if let Some(scorer) = scorer {
@@ -599,32 +598,6 @@ impl LanguageClassifierSet {
             }
         }
         best.map(|(lang, _)| lang)
-    }
-
-    /// The **naive pre-refactor reference path**: every language
-    /// extracts the feature vector for itself — five extractions per
-    /// URL. Kept only so the `single_pass` bench and the pipeline
-    /// equivalence test can compare the single-pass path against the
-    /// historical baseline; production code should use
-    /// [`LanguageClassifierSet::score_all`].
-    pub fn score_all_multi_extract(&self, url: &str) -> [Option<f64>; 5] {
-        let mut out = [None; 5];
-        for (i, scorer) in self.scorers.iter().enumerate() {
-            if let Some(scorer) = scorer {
-                out[i] = Some(match scorer {
-                    // A fresh extraction per language — what the old
-                    // per-language FeatureUrlClassifier wrappers did.
-                    LanguageScorer::Vector(model) => {
-                        model.score(&self.shared_extractor().transform(url))
-                    }
-                    LanguageScorer::Url(classifier) => classifier.score_url(url),
-                    LanguageScorer::Hybrid(classifier) => {
-                        classifier.score_hybrid(url, &self.shared_extractor().transform(url))
-                    }
-                });
-            }
-        }
-        out
     }
 
     /// Batch [`LanguageClassifierSet::classify_all`]: one extraction per

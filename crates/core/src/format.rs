@@ -80,16 +80,18 @@ const HEADER_FIXED: usize = 8 + 4 + 4 + 4 + 4;
 /// Bytes per section-table entry.
 const ENTRY_BYTES: usize = 32;
 
-/// An implausible section count — the format has eight section kinds;
-/// the cap only bounds the table scan on hostile headers.
+/// An implausible section count — the format has seven live section
+/// kinds; the cap only bounds the table scan on hostile headers.
 const MAX_SECTIONS: u32 = 64;
 
 /// Identifiers of the known sections, in canonical file order.
 ///
-/// Id 7 is retired and must never be reused: files packed before the
-/// quantised `f32` weight lane was removed carry it as `MATRIX32`.
-/// [`UrlmFile::open`] still bounds-checks and checksums it like every
-/// section; the loader never reads it.
+/// Ids 7 and 8 are retired and must never be reused: files packed
+/// before the quantised `f32` weight lane was removed carry id 7 as
+/// `MATRIX32`, and id 8 was the `MARKOV` section of a fused character
+/// Markov plane that no trainer ever wrote. [`UrlmFile::open`] still
+/// bounds-checks and checksums a retired section like every section;
+/// the loader never reads it. New ids start at 10.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub enum SectionId {
@@ -105,8 +107,6 @@ pub enum SectionId {
     Table = 5,
     /// Dense language-major weight matrix (`f64`).
     Matrix = 6,
-    /// Markov transition matrix (only for Markov-backed planes).
-    Markov = 8,
     /// The five per-language training-time models (tagged codec bytes).
     Models = 9,
 }
@@ -122,7 +122,7 @@ impl SectionId {
             5 => "TABLE",
             6 => "MATRIX",
             7 => "MATRIX32", // retired; see `SectionId`
-            8 => "MARKOV",
+            8 => "MARKOV",   // retired; see `SectionId`
             9 => "MODELS",
             _ => "UNKNOWN",
         }
@@ -457,14 +457,6 @@ impl UrlmFile {
         })
     }
 
-    /// A zero-copy typed view of a section that may be absent.
-    pub fn lane_opt<T: Pod>(&self, id: SectionId) -> Result<Option<Lane<T>>, PersistenceError> {
-        if self.section(id).is_none() {
-            return Ok(None);
-        }
-        self.lane(id).map(Some)
-    }
-
     /// Format version of the file.
     pub fn version(&self) -> u32 {
         self.version
@@ -527,8 +519,7 @@ mod tests {
         );
         assert_eq!(file.section_bytes(SectionId::Models).unwrap(), &[9, 9, 9]);
         assert_eq!(file.section_bytes(SectionId::Arena).unwrap().len(), 5000);
-        assert!(file.section(SectionId::Markov).is_none());
-        assert!(file.lane_opt::<f64>(SectionId::Markov).unwrap().is_none());
+        assert!(file.section(SectionId::Matrix).is_none());
         let arena: Lane<u8> = file.lane(SectionId::Arena).unwrap();
         assert!(arena.is_mapped());
         assert_eq!(arena.len(), 5000);

@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use urlid_classifiers::{
     Algorithm, ByteReader, ByteWriter, CodecError, LanguageClassifierSet, PlaneMeta, PlanePayload,
-    PlaneViews, VectorClassifier,
+    VectorClassifier,
 };
 use urlid_features::{
     CompiledTransform, CustomFeatureExtractor, Dataset, FeatureExtractor, InternedVocabulary,
@@ -281,9 +281,6 @@ impl ModelBundle {
             writer.push(SectionId::Table, u32_bytes(parts.table));
         }
         writer.push(SectionId::Matrix, payload.matrix);
-        if !payload.markov.is_empty() {
-            writer.push(SectionId::Markov, payload.markov);
-        }
         writer.push(SectionId::Models, models.into_bytes());
         Ok(writer)
     }
@@ -421,12 +418,9 @@ fn load_binary(path: &Path) -> Result<LanguageIdentifier, PersistenceError> {
             }
         };
 
-    // The scoring plane, over zero-copy views of the mapped sections.
-    let views = PlaneViews {
-        matrix: file.lane(SectionId::Matrix)?,
-        markov: file.lane_opt(SectionId::Markov)?,
-    };
-    let plane = urlid_classifiers::CompiledPlane::from_bytes(transform, meta.plane, views)
+    // The scoring plane, over a zero-copy view of the mapped matrix.
+    let matrix = file.lane(SectionId::Matrix)?;
+    let plane = urlid_classifiers::CompiledPlane::from_bytes(transform, meta.plane, matrix)
         .map_err(PersistenceError::Corrupt)?;
 
     // The training-time models (the interpreted oracle path).
@@ -492,17 +486,12 @@ pub fn inspect_model(path: impl AsRef<Path>) -> Result<String, PersistenceError>
         let meta = meta_from_bytes(meta_bytes)?;
         let _ = writeln!(
             out,
-            "  model: {:?} features × {:?}, dim {} (vocabulary {}), stride {}, markov {}",
+            "  model: {:?} features × {:?}, dim {} (vocabulary {}), stride {}",
             meta.config.feature_set,
             meta.config.algorithm,
             meta.plane.dim,
             meta.vocab_len,
             meta.plane.stride,
-            if meta.plane.markov.is_some() {
-                "yes"
-            } else {
-                "no"
-            },
         );
     }
     Ok(out)

@@ -5,8 +5,11 @@
 //! `String` per token (or per n-gram) per URL; with a scratch buffer the
 //! tokenizer lowercases into a single reusable buffer and the vocabulary
 //! hits are collected into a reusable index buffer, so tokenisation does
-//! **zero per-URL `String` allocation**. Only the resulting
-//! [`crate::SparseVector`] is allocated (it is the returned value).
+//! **zero per-URL `String` allocation**. The interpreted extractors
+//! still allocate the resulting [`crate::SparseVector`] (it is the
+//! returned value); compiled extraction fills the reusable `vector`
+//! instead, so a warm call allocates nothing. The buffers serve
+//! extraction only — the compiled plane's kernels need no scratch.
 //!
 //! One `ExtractScratch` per thread is enough; the batch classification
 //! API in `urlid-classifiers` creates one per worker thread.
@@ -26,11 +29,6 @@ pub struct ExtractScratch {
     /// ([`crate::CompiledTransform::extract_into`]): with it, a warm
     /// word, trigram or custom extraction allocates nothing at all.
     pub vector: crate::SparseVector,
-    /// Rank-order scoring scratch (the rank-sorted view of a vector).
-    pub ranked: Vec<(u32, f64)>,
-    /// Byte scratch for per-token character encodings (the fused
-    /// Markov pass).
-    pub bytes: Vec<u8>,
 }
 
 impl ExtractScratch {

@@ -42,8 +42,8 @@
 //!
 //! A single run produces a [`BenchReport`]; [`run_suite`] strings
 //! several scenarios into one multi-scenario [`BenchSuite`], written as
-//! `BENCH_serve.json` so the perf trajectory accumulates next to the
-//! criterion bench JSON (`target/bench-results-*.json`).
+//! `BENCH_serve.json` so the perf trajectory accumulates next to
+//! `BENCH_score.json` and `BENCH_train.json`.
 
 use crate::http;
 use rand::rngs::StdRng;
