@@ -785,6 +785,7 @@ fn handle_metrics(state: &ServerState, req: &Request) -> (u16, &'static str, Str
     cache.insert("hit_rate", Value::Float(state.cache.hit_rate()));
     cache.insert("entries", Value::Uint(state.cache.len() as u64));
     cache.insert("capacity", Value::Uint(state.cache.capacity() as u64));
+    cache.insert("bytes", Value::Uint(state.cache.heap_bytes() as u64));
     let mut model = model_value(&status);
     model.insert(
         "reloads",
@@ -956,6 +957,11 @@ pub fn prometheus_text(state: &ServerState) -> String {
         "urlid_cache_capacity",
         "Result-cache capacity.",
         state.cache.capacity() as f64,
+    );
+    w.gauge(
+        "urlid_cache_bytes",
+        "Heap bytes the result cache holds: nodes, index, key arenas.",
+        state.cache.heap_bytes() as f64,
     );
 
     let config = identifier.config();

@@ -463,6 +463,43 @@ fn metrics_json_and_prometheus_agree_on_connection_totals() {
     server.shutdown();
 }
 
+/// `cache.bytes` and `urlid_cache_bytes` report the same heap bytes.
+/// Both expositions ride one keep-alive connection, and `/metrics`
+/// never touches the cache, so the two snapshots cannot drift.
+#[test]
+fn metrics_json_and_prometheus_agree_on_cache_bytes() {
+    use std::io::Write;
+    let server = start_server(1024);
+    let addr = server.addr();
+    for i in 0..20 {
+        let body = format!("{{\"url\": \"http://www.seite{i}.de/pfad\"}}");
+        assert_eq!(request(addr, "POST", "/identify", Some(&body)).0, 200);
+    }
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = std::io::BufReader::new(stream);
+    http::write_request(&mut writer, "GET", "/metrics", None).expect("write JSON request");
+    let (status, json_body) = http::read_response(&mut reader).expect("JSON exposition");
+    assert_eq!(status, 200);
+    let metrics: Value = serde_json::from_str(&json_body).expect("JSON");
+    writer
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: urlid\r\nAccept: text/plain\r\n\r\n")
+        .expect("write Prometheus request");
+    let (status, text) = http::read_response(&mut reader).expect("Prometheus exposition");
+    assert_eq!(status, 200);
+    urlid_telemetry::prometheus::lint(&text).expect("exposition body passes lint");
+
+    let cache = metrics.get("cache").expect("cache");
+    let bytes = uint_of(cache, "bytes");
+    assert!(bytes > 0, "20 cached URLs take room");
+    assert_eq!(bytes, server.state().cache().heap_bytes() as u64);
+    assert!(text.contains("# TYPE urlid_cache_bytes gauge"));
+    assert_eq!(prom_values(&text, "urlid_cache_bytes"), vec![bytes as f64]);
+    assert_eq!(uint_of(cache, "entries"), 20);
+    server.shutdown();
+}
+
 #[test]
 fn metrics_json_includes_per_stage_histograms() {
     let server = start_server(1024);
